@@ -224,41 +224,6 @@ impl BigInt {
         Ordering::Equal
     }
 
-    fn add_mag(a: &[u64], b: &[u64]) -> Vec<u64> {
-        let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-        let mut out = Vec::with_capacity(long.len() + 1);
-        let mut carry = 0u64;
-        for i in 0..long.len() {
-            let x = long[i];
-            let y = if i < short.len() { short[i] } else { 0 };
-            let (s1, c1) = x.overflowing_add(y);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.push(s2);
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        if carry != 0 {
-            out.push(carry);
-        }
-        out
-    }
-
-    /// Subtracts magnitudes; requires `a >= b`.
-    fn sub_mag(a: &[u64], b: &[u64]) -> Vec<u64> {
-        debug_assert!(Self::cmp_mag(a, b) != Ordering::Less);
-        let mut out = Vec::with_capacity(a.len());
-        let mut borrow = 0u64;
-        for i in 0..a.len() {
-            let y = if i < b.len() { b[i] } else { 0 };
-            let (d1, b1) = a[i].overflowing_sub(y);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out.push(d2);
-            borrow = (b1 as u64) + (b2 as u64);
-        }
-        debug_assert_eq!(borrow, 0);
-        Self::trim(&mut out);
-        out
-    }
-
     /// In-place `out = a + b` over magnitudes, reusing `out`'s capacity.
     fn add_mag_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
         let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
@@ -298,10 +263,9 @@ impl BigInt {
 
     /// Writes `a + b` into `out`, reusing `out`'s limb buffer.
     ///
-    /// This is the allocation-free hot path behind
-    /// [`rsp_arith::PathCost::add_into`](crate::PathCost::add_into): once a
-    /// buffer has grown to the working operand width, repeated relaxations
-    /// stop allocating entirely.
+    /// The `+` operators are this with a fresh `out`; callers that add in
+    /// a loop can keep one `out` and stop allocating once its buffer has
+    /// grown to the working operand width.
     ///
     /// # Examples
     ///
@@ -338,14 +302,6 @@ impl BigInt {
     pub fn clear_to_zero(&mut self) {
         self.sign = Sign::Zero;
         self.mag.clear();
-    }
-
-    fn from_sign_mag(sign: Sign, mag: Vec<u64>) -> Self {
-        if mag.is_empty() {
-            BigInt::zero()
-        } else {
-            BigInt { sign, mag }
-        }
     }
 
     /// Divides in place by a nonzero `u64`, returning the remainder.
@@ -394,21 +350,9 @@ impl Add for &BigInt {
     type Output = BigInt;
 
     fn add(self, rhs: &BigInt) -> BigInt {
-        use Sign::*;
-        match (self.sign, rhs.sign) {
-            (Zero, _) => rhs.clone(),
-            (_, Zero) => self.clone(),
-            (a, b) if a == b => BigInt::from_sign_mag(a, BigInt::add_mag(&self.mag, &rhs.mag)),
-            _ => match BigInt::cmp_mag(&self.mag, &rhs.mag) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => {
-                    BigInt::from_sign_mag(self.sign, BigInt::sub_mag(&self.mag, &rhs.mag))
-                }
-                Ordering::Less => {
-                    BigInt::from_sign_mag(rhs.sign, BigInt::sub_mag(&rhs.mag, &self.mag))
-                }
-            },
-        }
+        let mut out = BigInt::zero();
+        BigInt::sum_into(self, rhs, &mut out);
+        out
     }
 }
 

@@ -14,11 +14,7 @@
 //! * [`PathCost`] — the trait abstracting "a totally ordered cost that can be
 //!   accumulated along a path", implemented for the native unsigned integers
 //!   (used by the randomized schemes of Theorem 20 / Corollary 22, whose
-//!   scaled weights fit in `u128`) and for [`BigInt`];
-//! * [`HeapKind`] — the per-cost-type heap policy ([`PathCost::HEAP`])
-//!   steering the `rsp-graph` query engine: register-copy costs run on a
-//!   flat inline-key lazy heap, heavyweight costs on an indexed
-//!   decrease-key heap, with identical results either way.
+//!   scaled weights fit in `u128`) and for [`BigInt`].
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
 //! workspace architecture: the crate layering, the three-level query
@@ -32,8 +28,6 @@
 //! | [`PathCost`] | exact scaled-integer substitution for the paper's real-valued weights (DESIGN.md substitution 1) |
 //! | `u128` impl | Theorem 20 / Corollary 22 randomized grids (`O(f log n)` bits fit a machine word) |
 //! | [`BigInt`] | Theorem 23 deterministic geometric weights (`O(\|E\|)` bits per weight) |
-//! | [`PathCost::add_into`] | in-place relaxation arithmetic for the query engine (README "Performance") |
-//! | [`PathCost::HEAP`] / [`HeapKind`] | cost-specialized heap policy for the query engine (README "Performance") |
 //!
 //! # Examples
 //!
@@ -53,4 +47,4 @@ mod bigint;
 mod cost;
 
 pub use bigint::BigInt;
-pub use cost::{HeapKind, PathCost};
+pub use cost::PathCost;

@@ -16,14 +16,15 @@
 //!   in one small neighborhood, so `prefix_len` is governed by the
 //!   cluster's distance from the source rather than by any single edge.
 //!
-//! `per_query` is the `indexed_reuse` engine of `BENCH_2.json`;
-//! `batched` is the batch engine with checkpointed resume (the default
-//! `CheckpointMode::Auto`), `batched_nockpt` pins `CheckpointMode::Never`
-//! so the checkpoint win is its own diffable number. After the timed rows
-//! each weighted group prints its [`rsp_graph::BatchStats`] — how many
-//! queries the baseline answered outright, how many restored a checkpoint,
-//! and how many relaxations the replay path re-executed — so prefix-
-//! sharing efficacy is measured, not inferred.
+//! `per_query` is the reused-scratch single-query engine (`query_engine`'s
+//! `inline_reuse` rows); `batched` is the batch engine with checkpointed
+//! resume (the default `CheckpointMode::Always`), `batched_nockpt` pins
+//! `CheckpointMode::Never` so the checkpoint win is its own diffable
+//! number. After the timed rows each weighted group prints its
+//! [`rsp_graph::BatchStats`] — how many queries the baseline answered
+//! outright, how many restored a checkpoint, and how many relaxations the
+//! replay path re-executed — so prefix-sharing efficacy is measured, not
+//! inferred.
 //!
 //! Append results to the repo's `BENCH_<n>.json` trajectory with:
 //!

@@ -1,46 +1,31 @@
-//! Query-engine microbenchmarks: the seed's allocating lazy-deletion
-//! Dijkstra versus the indexed decrease-key engine, fresh-scratch and
-//! reused-scratch, across the three cost types the tiebreaking schemes use
-//! (`u64`, `u128`, `BigInt`) plus the unweighted BFS layer.
+//! Query-engine microbenchmarks: the allocating reference Dijkstra versus
+//! the scratch engine, fresh-scratch and reused-scratch, across the three
+//! cost types the tiebreaking schemes use (`u64`, `u128`, `BigInt`) plus
+//! the unweighted BFS layer.
 //!
 //! Each iteration replays a fixed batch of `(source, single-fault)` queries
 //! — the access pattern of the restorability, preserver, and replacement
 //! experiments. Three engines are compared per workload:
 //!
-//! * `lazy_alloc` — the pre-scratch engine, reimplemented verbatim: fresh
-//!   `O(n)` vectors per query and a `BinaryHeap<Reverse<(C, Vertex)>>` that
-//!   clones every relaxed cost into the heap;
-//! * `indexed_fresh` — the scratch engine through the allocating wrappers
+//! * `reference_alloc` — [`rsp_graph::reference::ref_dijkstra`], the
+//!   executable specification the differential suites pin the engine to:
+//!   fresh `O(n)` vectors per query over a Vec-of-Vec adjacency (built
+//!   once, outside the timed loop) and a `BinaryHeap<Reverse<(C,
+//!   Vertex)>>` that clones every relaxed cost into the heap;
+//! * `scratch_fresh` — the scratch engine through the allocating wrappers
 //!   (one fresh `SearchScratch` per query);
-//! * `indexed_reuse` — the scratch engine with one `SearchScratch` reused
+//! * `inline_reuse` — the scratch engine with one `SearchScratch` reused
 //!   across the whole batch (the intended hot-loop shape).
 //!
-//! Since PR 4 the engine picks its heap per cost type
-//! ([`rsp_arith::PathCost::HEAP`]): register-copy costs run a flat
-//! inline-key lazy heap, `BigInt` keeps the indexed decrease-key heap. To
-//! keep the trajectory diffable *and* the policy split an observed number:
-//!
-//! * `indexed_reuse` rows are pinned to the indexed engine via
-//!   [`rsp_graph::SearchScratch::set_heap_kind`] — the engine PR 2
-//!   shipped, directly comparable with `BENCH_2.json`;
-//! * `inline_reuse` rows (Copy-cost groups only) run the inline-key
-//!   engine the policy now selects for those types — this is the
-//!   "policy-selected engine" row;
-//! * `indexed_fresh` keeps its historical name but runs whatever the
-//!   policy picks (it measures fresh-scratch allocation overhead, which
-//!   is engine-independent);
-//! * a `u64_gnm20k_80k` group measures both engines on a graph whose
-//!   cost array outgrows cache, where the policy gap is widest (the
-//!   indexed heap's sift comparisons become random out-of-cache loads).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! A `u64_gnm20k_80k` group measures the engine on a graph whose cost
+//! array outgrows cache.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsp_arith::PathCost;
 use rsp_core::{ExactScheme, GeometricAtw, RandomGridAtw, Rpts};
+use rsp_graph::reference::{ref_dijkstra, RefGraph};
 use rsp_graph::{
-    bfs, bfs_into, dijkstra, dijkstra_into, gen, generators, EdgeId, FaultSet, Graph, HeapKind,
+    bfs, bfs_into, dijkstra, dijkstra_into, gen, generators, EdgeId, FaultSet, Graph,
     SearchScratch, Vertex,
 };
 
@@ -49,47 +34,14 @@ fn fault_batch(g: &Graph, queries: usize) -> Vec<FaultSet> {
     (0..queries).map(|i| FaultSet::single(i * g.m() / queries)).collect()
 }
 
-/// The seed engine, kept verbatim as the benchmark baseline: lazy-deletion
-/// binary heap, freshly allocated per-query state, costs cloned into the
-/// heap on every improving relaxation.
-fn lazy_dijkstra<C, F>(g: &Graph, source: Vertex, faults: &FaultSet, mut edge_cost: F) -> usize
+/// One `reference_alloc` iteration: the reference engine over every fault
+/// set, returning the total reached-vertex count.
+fn reference_batch<C, F>(r: &RefGraph, faults: &[FaultSet], edge_cost: F) -> usize
 where
     C: PathCost,
-    F: FnMut(EdgeId, Vertex, Vertex) -> C,
+    F: Fn(EdgeId, Vertex, Vertex) -> C + Copy,
 {
-    let n = g.n();
-    let mut best: Vec<Option<C>> = vec![None; n];
-    let mut parent: Vec<Option<(Vertex, EdgeId)>> = vec![None; n];
-    let mut hops = vec![0u32; n];
-    let mut settled = vec![false; n];
-    let mut ties = false;
-    let mut heap: BinaryHeap<Reverse<(C, Vertex)>> = BinaryHeap::new();
-    best[source] = Some(C::zero());
-    heap.push(Reverse((C::zero(), source)));
-    while let Some(Reverse((cost_u, u))) = heap.pop() {
-        if settled[u] || best[u].as_ref() != Some(&cost_u) {
-            continue;
-        }
-        settled[u] = true;
-        for (v, e) in g.neighbors(u) {
-            if faults.contains(e) {
-                continue;
-            }
-            let cand = cost_u.plus(&edge_cost(e, u, v));
-            match &best[v] {
-                Some(cur) if *cur < cand => {}
-                Some(cur) if *cur == cand => ties = true,
-                _ => {
-                    best[v] = Some(cand.clone());
-                    parent[v] = Some((u, e));
-                    hops[v] = hops[u] + 1;
-                    heap.push(Reverse((cand, v)));
-                }
-            }
-        }
-    }
-    std::hint::black_box(ties);
-    best.iter().filter(|c| c.is_some()).count()
+    faults.iter().map(|f| ref_dijkstra(r, 0, f, edge_cost).reachable_count()).sum()
 }
 
 /// Benchmarks the three engines over a scheme's exact costs.
@@ -101,18 +53,13 @@ fn bench_scheme_engines<C: PathCost + 'static>(
 ) {
     let g = scheme.graph().clone();
     let faults = fault_batch(&g, queries);
+    let r = RefGraph::from_graph(&g);
 
     let mut group = c.benchmark_group(label);
-    group.bench_function("lazy_alloc", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            for f in &faults {
-                reached += lazy_dijkstra(&g, 0, f, |e, u, v| scheme.edge_cost(e, u, v));
-            }
-            reached
-        })
+    group.bench_function("reference_alloc", |b| {
+        b.iter(|| reference_batch(&r, &faults, |e, u, v| scheme.edge_cost(e, u, v)))
     });
-    group.bench_function("indexed_fresh", |b| {
+    group.bench_function("scratch_fresh", |b| {
         b.iter(|| {
             let mut reached = 0usize;
             for f in &faults {
@@ -121,8 +68,8 @@ fn bench_scheme_engines<C: PathCost + 'static>(
             reached
         })
     });
-    let mut scratch = SearchScratch::<C>::with_capacity(g.n()).with_heap_kind(HeapKind::Indexed);
-    group.bench_function("indexed_reuse", |b| {
+    let mut scratch = SearchScratch::<C>::with_capacity(g.n());
+    group.bench_function("inline_reuse", |b| {
         b.iter(|| {
             let mut reached = 0usize;
             for f in &faults {
@@ -132,20 +79,6 @@ fn bench_scheme_engines<C: PathCost + 'static>(
             reached
         })
     });
-    if C::HEAP == HeapKind::InlineKey {
-        let mut inline =
-            SearchScratch::<C>::with_capacity(g.n()).with_heap_kind(HeapKind::InlineKey);
-        group.bench_function("inline_reuse", |b| {
-            b.iter(|| {
-                let mut reached = 0usize;
-                for f in &faults {
-                    scheme.spt_into(0, f, &mut inline);
-                    reached += inline.reachable_count();
-                }
-                reached
-            })
-        });
-    }
     group.finish();
 }
 
@@ -157,17 +90,11 @@ fn bench_u64_grid(c: &mut Criterion) {
         1_000_000u64 + (e as u64 % 251) + u64::from(from < to)
     };
 
+    let r = RefGraph::from_graph(&g);
+
     let mut group = c.benchmark_group("query_engine/u64_grid16x16");
-    group.bench_function("lazy_alloc", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            for f in &faults {
-                reached += lazy_dijkstra(&g, 0, f, cost);
-            }
-            reached
-        })
-    });
-    group.bench_function("indexed_fresh", |b| {
+    group.bench_function("reference_alloc", |b| b.iter(|| reference_batch(&r, &faults, cost)));
+    group.bench_function("scratch_fresh", |b| {
         b.iter(|| {
             let mut reached = 0usize;
             for f in &faults {
@@ -176,18 +103,7 @@ fn bench_u64_grid(c: &mut Criterion) {
             reached
         })
     });
-    let mut scratch = SearchScratch::<u64>::with_capacity(g.n()).with_heap_kind(HeapKind::Indexed);
-    group.bench_function("indexed_reuse", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            for f in &faults {
-                dijkstra_into(&g, 0, f, cost, &mut scratch);
-                reached += scratch.reachable_count();
-            }
-            reached
-        })
-    });
-    let mut inline = SearchScratch::<u64>::with_capacity(g.n()).with_heap_kind(HeapKind::InlineKey);
+    let mut inline = SearchScratch::<u64>::with_capacity(g.n());
     group.bench_function("inline_reuse", |b| {
         b.iter(|| {
             let mut reached = 0usize;
@@ -202,8 +118,7 @@ fn bench_u64_grid(c: &mut Criterion) {
 }
 
 /// u64 costs on a 20k-vertex G(n,m): the cost and stamp arrays outgrow
-/// cache, which is where the heap-policy gap is widest (the indexed
-/// heap's sift comparisons become random out-of-cache loads).
+/// cache.
 fn bench_u64_large(c: &mut Criterion) {
     let g = generators::connected_gnm(20_000, 80_000, 11);
     let faults = fault_batch(&g, 4);
@@ -211,30 +126,11 @@ fn bench_u64_large(c: &mut Criterion) {
         1_000_000u64 + (e as u64 % 251) + u64::from(from < to)
     };
 
+    let r = RefGraph::from_graph(&g);
+
     let mut group = c.benchmark_group("query_engine/u64_gnm20k_80k");
-    group.bench_function("lazy_alloc", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            for f in &faults {
-                reached += lazy_dijkstra(&g, 0, f, cost);
-            }
-            reached
-        })
-    });
-    let mut indexed = SearchScratch::<u64>::with_capacity(g.n()).with_heap_kind(HeapKind::Indexed);
-    group.bench_function("indexed_reuse", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            for f in &faults {
-                dijkstra_into(&g, 0, f, cost, &mut indexed);
-                reached += indexed.reachable_count();
-            }
-            reached
-        })
-    });
-    // Forced for symmetry with the indexed row; this is also what the
-    // u64 policy selects.
-    let mut inline = SearchScratch::<u64>::with_capacity(g.n()).with_heap_kind(HeapKind::InlineKey);
+    group.bench_function("reference_alloc", |b| b.iter(|| reference_batch(&r, &faults, cost)));
+    let mut inline = SearchScratch::<u64>::with_capacity(g.n());
     group.bench_function("inline_reuse", |b| {
         b.iter(|| {
             let mut reached = 0usize;
@@ -274,7 +170,7 @@ fn scaling_n() -> usize {
 /// The CSR scaling group: the query engine at `n = 10^5`–`10^6` on the
 /// three Internet-shaped families (`rsp_graph::gen`), u64 costs — the
 /// workload the flat `u32` CSR layout exists for. Per family: reused-
-/// scratch BFS plus both heap engines, two single-fault queries per
+/// scratch BFS and Dijkstra, two single-fault queries per
 /// iteration from source 0. Each family prints an `n`/`m`/CSR-footprint
 /// provenance line so recorded JSON rows can cite the memory story.
 fn bench_scaling(c: &mut Criterion) {
@@ -308,26 +204,13 @@ fn bench_scaling(c: &mut Criterion) {
                 reached
             })
         });
-        let mut inline =
-            SearchScratch::<u64>::with_capacity(g.n()).with_heap_kind(HeapKind::InlineKey);
+        let mut inline = SearchScratch::<u64>::with_capacity(g.n());
         group.bench_function("inline_reuse", |b| {
             b.iter(|| {
                 let mut reached = 0usize;
                 for f in &faults {
                     dijkstra_into(&g, 0, f, cost, &mut inline);
                     reached += inline.reachable_count();
-                }
-                reached
-            })
-        });
-        let mut indexed =
-            SearchScratch::<u64>::with_capacity(g.n()).with_heap_kind(HeapKind::Indexed);
-        group.bench_function("indexed_reuse", |b| {
-            b.iter(|| {
-                let mut reached = 0usize;
-                for f in &faults {
-                    dijkstra_into(&g, 0, f, cost, &mut indexed);
-                    reached += indexed.reachable_count();
                 }
                 reached
             })

@@ -29,7 +29,7 @@
 //! | `benches/subset_rp` | Algorithm 1 (Theorem 29) vs the per-pair baseline |
 //! | `benches/preserver`, `benches/lower_bound` | Theorems 26/27/31 build sizes and times |
 //! | `benches/spanner`, `benches/labeling`, `benches/congest` | Sections 4.3–4.5 constructions |
-//! | `benches/query_engine` | the scratch/decrease-key engine (`BENCH_2.json` trajectory) |
+//! | `benches/query_engine` | the scratch engine vs the reference engine (`BENCH_2.json` trajectory) |
 //! | `benches/query_batch` | the batch/parallel engine (`BENCH_3.json` trajectory) |
 
 #![forbid(unsafe_code)]

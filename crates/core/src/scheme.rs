@@ -276,10 +276,8 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     /// The clone-free hot path: stored per-direction costs are borrowed
     /// straight into the relaxation (no [`ExactScheme::edge_cost`] clone),
     /// and results — costs, hops, parents, paths, tree edges — are read
-    /// directly from the scratch without materializing a tree. The search
-    /// runs on the heap engine the cost type's
-    /// [`rsp_arith::PathCost::HEAP`] policy selects (indexed decrease-key
-    /// for `BigInt`, inline-key for the integer schemes).
+    /// directly from the scratch without materializing a tree. Every cost
+    /// type runs on the scratch's one lazy heap.
     ///
     /// # Examples
     ///

@@ -16,14 +16,13 @@
 //!   instead of starting over;
 //! * the weighted baseline is additionally **checkpointed** at a few
 //!   geometric settle depths (`n/8`, `n/4`, `n/2`): the open-frontier
-//!   state — tentative keys and the active heap — is snapshotted mid-run.
+//!   state — tentative keys and the live heap entries — is snapshotted
+//!   mid-run.
 //!   A resume without a checkpoint must rebuild the step-`k` frontier by
 //!   replaying every prefix relaxation (`O(prefix edges)`); with the
 //!   deepest checkpoint at depth `d ≤ k`, the frontier starts from the
 //!   snapshot and only the `d..k` suffix is replayed — `O(frontier +
-//!   suffix edges)`. [`CheckpointMode`] and a clone-cost guard
-//!   (heavyweight costs on small graphs skip snapshots entirely) keep the
-//!   capture overhead below what it saves;
+//!   suffix edges)`. [`CheckpointMode::Never`] turns capture off;
 //! * fault sets the baseline never examines (`k` = the whole settle order)
 //!   are answered by the baseline directly, with **zero** additional
 //!   traversal — the common case for local faults far from the source;
@@ -84,36 +83,25 @@ use std::cmp::Reverse;
 use std::fmt;
 use std::ops::ControlFlow;
 
-use rsp_arith::{HeapKind, PathCost};
+use rsp_arith::PathCost;
 
 use crate::fault::FaultSet;
 use crate::graph::{EdgeId, Graph, Vertex};
 use crate::pool::parallel_indexed;
 use crate::scratch::{
-    bfs_observed, bfs_run, dijkstra_observed, dijkstra_run, dijkstra_seed, relax, relax_inline,
-    sift_up, EdgeCostSource, NoObserver, SearchObserver, SearchScratch, OPEN, SETTLED,
+    bfs_observed, bfs_run, dijkstra_observed, dijkstra_run, dijkstra_seed, relax, EdgeCostSource,
+    NoObserver, SearchObserver, SearchScratch, OPEN, SETTLED,
 };
 
 /// Checkpoints shallower than this many settle steps are not worth the
 /// snapshot: the replay resume already handles tiny prefixes in-cache.
 const MIN_CHECKPOINT_DEPTH: usize = 8;
 
-/// Under [`CheckpointMode::Auto`], graphs smaller than this skip
-/// checkpointing when the cost type's clone allocates
-/// ([`HeapKind::Indexed`] policy): on micro-graphs the per-vertex cost
-/// clones of a snapshot exceed the replay work they would save.
-const HEAVY_SNAPSHOT_MIN_N: usize = 512;
-
 /// Forwards an [`EdgeCostSource`] by mutable reference, so one cost source
 /// instance can serve every query of a batch.
 struct ByRef<'a, T>(&'a mut T);
 
 impl<C: PathCost, T: EdgeCostSource<C>> EdgeCostSource<C> for ByRef<'_, T> {
-    #[inline]
-    fn accumulate(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex, out: &mut C) {
-        self.0.accumulate(base, e, from, to, out);
-    }
-
     #[inline]
     fn compute(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex) -> C {
         self.0.compute(base, e, from, to)
@@ -145,14 +133,10 @@ impl SearchObserver for Recorder<'_> {
 /// When the weighted batch engine snapshots baseline search state for
 /// checkpointed resume.
 ///
-/// The default, [`CheckpointMode::Auto`], checkpoints whenever the
-/// snapshot is cheap relative to the replay it replaces: always for
-/// register-copy costs ([`HeapKind::InlineKey`] policy), and only on
-/// graphs of at least `512` vertices for allocating costs
-/// ([`HeapKind::Indexed`], i.e. [`rsp_arith::BigInt`]) — on micro-graphs
-/// the per-vertex cost clones of a snapshot cost more than they save.
-/// `Always` / `Never` override the guard (the property suite uses both to
-/// pin checkpointed and checkpoint-free resume against each other).
+/// The default, [`CheckpointMode::Always`], checkpoints at every
+/// reachable depth; [`CheckpointMode::Never`] resumes every query by
+/// relaxation replay. The property suites use both to pin checkpointed and
+/// checkpoint-free resume against each other.
 ///
 /// # Examples
 ///
@@ -185,11 +169,8 @@ impl SearchObserver for Recorder<'_> {
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CheckpointMode {
-    /// Checkpoint unless the cost type's clone is heavyweight and the
-    /// graph is small (the guard described above).
+    /// Checkpoint whenever a depth is reachable.
     #[default]
-    Auto,
-    /// Checkpoint whenever a depth is reachable, guard ignored.
     Always,
     /// Never checkpoint; every resume uses the relaxation-replay path.
     Never,
@@ -287,11 +268,7 @@ struct Checkpoint<C> {
     /// vertex, in discovery order (stored-width `u32` ids, matching the
     /// scratch arrays they snapshot).
     open: Vec<(u32, C, (u32, u32), u32)>,
-    /// Indexed-heap snapshot (vertex ids in heap order); unused under the
-    /// inline-key engine.
-    heap: Vec<u32>,
-    /// Inline-key heap snapshot, stale entries included; unused under the
-    /// indexed engine.
+    /// Live heap entries: one `(tentative key, vertex)` per open vertex.
     lazy: Vec<(C, u32)>,
 }
 
@@ -377,22 +354,6 @@ impl<C: PathCost> BatchScratch<C> {
         self.mode = mode;
     }
 
-    /// Forces the heap engine for both the baseline and resumed searches,
-    /// or restores the automatic choice with `None` (see
-    /// [`SearchScratch::set_heap_kind`]). The two inner scratches always
-    /// share one choice: a checkpoint snapshots whichever heap the
-    /// baseline ran on, and the resume must restore onto the same engine.
-    pub fn set_heap_kind(&mut self, kind: Option<HeapKind>) {
-        self.baseline.set_heap_kind(kind);
-        self.resume.set_heap_kind(kind);
-    }
-
-    /// Builder-style companion of [`BatchScratch::set_heap_kind`].
-    pub fn with_heap_kind(mut self, kind: HeapKind) -> Self {
-        self.set_heap_kind(Some(kind));
-        self
-    }
-
     /// The current checkpoint capture policy.
     pub fn checkpoint_mode(&self) -> CheckpointMode {
         self.mode
@@ -407,18 +368,6 @@ impl<C: PathCost> BatchScratch<C> {
     /// Zeroes the [`BatchScratch::stats`] counters.
     pub fn reset_stats(&mut self) {
         self.stats = BatchStats::default();
-    }
-
-    /// Whether the current mode and guard allow checkpointing on `g`.
-    fn checkpoints_enabled(&self, g: &Graph) -> bool {
-        match self.mode {
-            CheckpointMode::Always => true,
-            CheckpointMode::Never => false,
-            // Auto: a snapshot clones one cost per discovered vertex, so
-            // skip it when clones allocate (indexed policy) and the graph
-            // is too small for the saved replay to pay for them.
-            CheckpointMode::Auto => C::HEAP == HeapKind::InlineKey || g.n() >= HEAVY_SNAPSHOT_MIN_N,
-        }
     }
 
     /// The settle depths worth checkpointing for an `n`-vertex graph:
@@ -472,7 +421,6 @@ impl<C: PathCost> BatchScratch<C> {
                     (v, base.key[vi].clone(), base.parent[vi], base.hops[vi])
                 })
                 .collect(),
-            heap: base.heap.clone(),
             // Live entries only (the one whose cost matches the current
             // tentative key, per open vertex): stale entries would be
             // skipped at pop anyway, and cloning them would make the
@@ -616,31 +564,15 @@ impl<C: PathCost> BatchScratch<C> {
                 out.heap_pos[vi] = OPEN;
                 out.touched.push(v);
             }
-            match out.active {
-                HeapKind::Indexed => {
-                    for &v in &cp.heap {
-                        let vi = v as usize;
-                        if out.heap_pos[vi] != OPEN {
-                            continue;
-                        }
-                        let end = out.heap.len();
-                        out.heap_pos[vi] = end as u32;
-                        out.heap.push(v);
-                        sift_up(&mut out.heap, &mut out.heap_pos, &out.key, end);
-                    }
-                }
-                HeapKind::InlineKey => {
-                    out.lazy.extend(
-                        cp.lazy
-                            .iter()
-                            .filter(|entry| {
-                                let vi = entry.1 as usize;
-                                out.stamp[vi] == epoch && out.heap_pos[vi] != SETTLED
-                            })
-                            .map(|entry| Reverse(entry.clone())),
-                    );
-                }
-            }
+            out.lazy.extend(
+                cp.lazy
+                    .iter()
+                    .filter(|entry| {
+                        let vi = entry.1 as usize;
+                        out.stamp[vi] == epoch && out.heap_pos[vi] != SETTLED
+                    })
+                    .map(|entry| Reverse(entry.clone())),
+            );
         }
         // Replay the `replay_from..k` relaxations toward open vertices,
         // in the original order, completing tentative keys and the heap.
@@ -650,20 +582,7 @@ impl<C: PathCost> BatchScratch<C> {
         // ties on prefix tree edges. No faulted edge is examined here:
         // each has `first_examined ≥ k`, so neither endpoint settled
         // before step `k`.
-        let SearchScratch {
-            stamp,
-            key,
-            parent,
-            hops,
-            heap,
-            heap_pos,
-            lazy,
-            touched,
-            cand,
-            ties,
-            active,
-            ..
-        } = out;
+        let SearchScratch { stamp, key, parent, hops, heap_pos, lazy, touched, ties, .. } = out;
         let mut replayed = 0usize;
         for &u in &self.settle_order[replay_from..k] {
             let u = u as usize;
@@ -673,22 +592,10 @@ impl<C: PathCost> BatchScratch<C> {
                 }
                 debug_assert!(!faults.contains(e), "faulted edge inside shared prefix");
                 replayed += 1;
-                match *active {
-                    HeapKind::InlineKey => {
-                        let cand = costs.compute(&key[u], e, u, v);
-                        relax_inline(
-                            u, v, e, epoch, cand, stamp, key, parent, hops, lazy, heap_pos,
-                            touched, ties,
-                        );
-                    }
-                    HeapKind::Indexed => {
-                        costs.accumulate(&key[u], e, u, v, cand);
-                        relax(
-                            u, v, e, epoch, cand, stamp, key, parent, hops, heap, heap_pos,
-                            touched, ties,
-                        );
-                    }
-                }
+                let cand = costs.compute(&key[u], e, u, v);
+                relax(
+                    u, v, e, epoch, cand, stamp, key, parent, hops, lazy, heap_pos, touched, ties,
+                );
             }
         }
         self.stats.replayed_relaxations += replayed;
@@ -820,7 +727,7 @@ pub fn dijkstra_batch<C, F, V>(
         // segment drains the heap; if the graph is exhausted before a
         // depth is reached, the remaining depths are simply not captured.
         dijkstra_seed(g, s, &mut scratch.baseline);
-        if scratch.checkpoints_enabled(g) {
+        if scratch.mode == CheckpointMode::Always {
             for d in BatchScratch::<C>::checkpoint_depths(g.n()) {
                 let settled = scratch.settle_order.len();
                 let BatchScratch { baseline, settle_order, ties_prefix, reach_after, .. } = scratch;
@@ -1156,45 +1063,39 @@ mod tests {
         let sources: Vec<Vertex> = vec![0, 31, 63];
         let cost = |e: EdgeId, u: Vertex, v: Vertex| 500u64 + (e as u64 % 5) + u64::from(u < v);
         let mut single = SearchScratch::<u64>::new();
-        for heap in [HeapKind::InlineKey, HeapKind::Indexed] {
-            for mode in [CheckpointMode::Auto, CheckpointMode::Always, CheckpointMode::Never] {
-                let mut batch =
-                    BatchScratch::<u64>::new().with_checkpoint_mode(mode).with_heap_kind(heap);
-                dijkstra_batch(&g, &sources, &fault_sets, cost, &mut batch, |si, fi, result| {
-                    dijkstra_into(&g, sources[si], &fault_sets[fi], cost, &mut single);
-                    let ctx = format!("{heap:?}/{mode:?} s{si} f{fi}");
-                    assert_scratches_equal(&g, result, &single, &ctx);
-                    ControlFlow::Continue(())
-                });
-                let stats = batch.stats();
-                assert_eq!(stats.queries, sources.len() * fault_sets.len());
-                assert_eq!(
-                    stats.queries,
-                    stats.baseline_answered
-                        + stats.checkpoint_resumed
-                        + stats.prefix_resumed
-                        + stats.full_searches,
-                    "every query is counted exactly once ({heap:?}/{mode:?})"
-                );
-                match mode {
-                    CheckpointMode::Never => {
-                        assert_eq!(stats.checkpoints_captured, 0);
-                        assert_eq!(stats.checkpoint_resumed, 0);
-                    }
-                    // u64 is an inline-eligible cost: Auto checkpoints
-                    // like Always regardless of the active heap engine.
-                    // n = 64: depths 8, 16, 32, 48 all capture.
-                    _ => {
-                        assert_eq!(stats.checkpoints_captured, 4 * sources.len());
-                        assert!(stats.checkpoint_resumed > 0, "deep faults restore checkpoints");
-                    }
+        for mode in [CheckpointMode::Always, CheckpointMode::Never] {
+            let mut batch = BatchScratch::<u64>::new().with_checkpoint_mode(mode);
+            dijkstra_batch(&g, &sources, &fault_sets, cost, &mut batch, |si, fi, result| {
+                dijkstra_into(&g, sources[si], &fault_sets[fi], cost, &mut single);
+                assert_scratches_equal(&g, result, &single, &format!("{mode:?} s{si} f{fi}"));
+                ControlFlow::Continue(())
+            });
+            let stats = batch.stats();
+            assert_eq!(stats.queries, sources.len() * fault_sets.len());
+            assert_eq!(
+                stats.queries,
+                stats.baseline_answered
+                    + stats.checkpoint_resumed
+                    + stats.prefix_resumed
+                    + stats.full_searches,
+                "every query is counted exactly once ({mode:?})"
+            );
+            match mode {
+                CheckpointMode::Never => {
+                    assert_eq!(stats.checkpoints_captured, 0);
+                    assert_eq!(stats.checkpoint_resumed, 0);
+                }
+                // n = 64: depths 8, 16, 32, 48 all capture.
+                CheckpointMode::Always => {
+                    assert_eq!(stats.checkpoints_captured, 4 * sources.len());
+                    assert!(stats.checkpoint_resumed > 0, "deep faults restore checkpoints");
                 }
             }
         }
     }
 
     #[test]
-    fn heavy_clone_guard_skips_checkpoints_on_small_graphs() {
+    fn bigint_checkpoints_restore_on_small_graphs() {
         use rsp_arith::BigInt;
         let g = generators::grid(6, 6);
         let fwd: Vec<BigInt> =
@@ -1204,40 +1105,23 @@ mod tests {
         let fault_sets = mixed_fault_sets(&g);
         let mut single = SearchScratch::<BigInt>::new();
 
-        // Auto on a 36-vertex BigInt workload: the guard forbids snapshot
-        // clones, but resumes still work through the replay path.
-        let mut auto = BatchScratch::<BigInt>::new();
+        // A 36-vertex BigInt workload: the default mode snapshots and
+        // restores heavyweight costs too, byte-identical to single queries.
+        let mut batch = BatchScratch::<BigInt>::new();
         dijkstra_batch(
             &g,
             &[0],
             &fault_sets,
             DirectedCosts::new(&fwd, &bwd),
-            &mut auto,
+            &mut batch,
             |_, fi, result| {
                 dijkstra_into(&g, 0, &fault_sets[fi], DirectedCosts::new(&fwd, &bwd), &mut single);
-                assert_scratches_equal(&g, result, &single, &format!("auto f{fi}"));
+                assert_scratches_equal(&g, result, &single, &format!("f{fi}"));
                 ControlFlow::Continue(())
             },
         );
-        assert_eq!(auto.stats().checkpoints_captured, 0, "guard must skip snapshots");
-        assert_eq!(auto.stats().checkpoint_resumed, 0);
-        assert!(auto.stats().prefix_resumed > 0);
-
-        // Always overrides the guard — and stays byte-identical.
-        let mut always = BatchScratch::<BigInt>::new().with_checkpoint_mode(CheckpointMode::Always);
-        dijkstra_batch(
-            &g,
-            &[0],
-            &fault_sets,
-            DirectedCosts::new(&fwd, &bwd),
-            &mut always,
-            |_, fi, result| {
-                dijkstra_into(&g, 0, &fault_sets[fi], DirectedCosts::new(&fwd, &bwd), &mut single);
-                assert_scratches_equal(&g, result, &single, &format!("always f{fi}"));
-                ControlFlow::Continue(())
-            },
-        );
-        assert!(always.stats().checkpoints_captured > 0);
+        assert!(batch.stats().checkpoints_captured > 0);
+        assert!(batch.stats().checkpoint_resumed > 0);
     }
 
     #[test]
@@ -1263,11 +1147,8 @@ mod tests {
     #[test]
     fn checkpoints_survive_source_and_graph_switches() {
         // Checkpoints captured for one source must never leak into the
-        // next source's (or next graph's) resumes. Forced inline so the
-        // lazy-heap snapshot path is the one exercised.
-        let mut batch = BatchScratch::<u64>::new()
-            .with_checkpoint_mode(CheckpointMode::Always)
-            .with_heap_kind(HeapKind::InlineKey);
+        // next source's (or next graph's) resumes.
+        let mut batch = BatchScratch::<u64>::new().with_checkpoint_mode(CheckpointMode::Always);
         let mut single = SearchScratch::<u64>::new();
         for g in [generators::grid(8, 8), generators::cycle(40), generators::grid(3, 3)] {
             let fault_sets = mixed_fault_sets(&g);

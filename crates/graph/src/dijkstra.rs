@@ -30,8 +30,8 @@ use crate::spt::WeightedSpt;
 ///
 /// This is the allocate-once convenience wrapper around the scratch-based
 /// engine ([`crate::dijkstra_into`]): it builds one fresh
-/// [`crate::SearchScratch`], runs the indexed decrease-key search, and
-/// materializes an owned tree. Loops issuing many queries should hold a
+/// [`crate::SearchScratch`], runs the lazy-heap search, and materializes
+/// an owned tree. Loops issuing many queries should hold a
 /// scratch and call [`crate::dijkstra_into`] directly.
 ///
 /// # Panics

@@ -22,10 +22,9 @@
 //!   tiebreaking schemes;
 //! * [`SearchScratch`] with [`bfs_into`] / [`dijkstra_into`] — the
 //!   reusable search-state engine behind both traversals: generation
-//!   stamping, a dirty list, and a cost-specialized heap policy
-//!   ([`rsp_arith::PathCost::HEAP`]: flat inline-key lazy heap for
-//!   register-copy costs, indexed decrease-key heap for heavyweight
-//!   costs) make repeated `(source, fault set)` queries allocation-free;
+//!   stamping, a dirty list, and one flat lazy heap of inline `(cost,
+//!   vertex)` entries for every cost type make repeated `(source, fault
+//!   set)` queries allocation-free;
 //! * [`BatchScratch`] with [`bfs_batch`] / [`dijkstra_batch`] — the batch
 //!   engine over `sources × fault_sets`: fault sets agreeing on the early
 //!   search frontier share the settled prefix of a per-source baseline
@@ -129,7 +128,6 @@ pub use io::{from_edge_list_str, to_edge_list_string, ParseGraphError};
 pub use path::Path;
 pub use pool::{default_workers, parallel_frontier, parallel_indexed, FrontierStats, ShardedSet};
 pub use routing::NextHopTable;
-pub use rsp_arith::HeapKind;
 pub use scratch::{bfs_into, dijkstra_into, DirectedCosts, EdgeCostSource, SearchScratch};
 pub use spt::WeightedSpt;
 pub use tree::{tree_edge_child, SubtreeScratch};

@@ -11,21 +11,13 @@
 //! * **a dirty list** — the vertices a query actually touched, letting
 //!   result extraction ([`SearchScratch::tree_edges`],
 //!   [`SearchScratch::to_bfs_tree`]) skip the unreached part of the graph;
-//! * **a cost-specialized heap policy** ([`rsp_arith::PathCost::HEAP`]) —
-//!   register-copy costs (`u32`/`u64`/`u128`) run on a flat lazy binary
-//!   heap (`std`'s [`BinaryHeap`]) whose entries are `(cost, vertex)`
-//!   pairs stored inline: no per-vertex heap-position bookkeeping, no
-//!   indirection on comparisons, candidates held in registers end to end
-//!   ([`EdgeCostSource::compute`]). Heavyweight costs
-//!   ([`rsp_arith::BigInt`]) run on an indexed 4-ary heap with
-//!   decrease-key that stores vertex ids only and compares through the
-//!   cost array, so an exact cost is stored exactly once per vertex and
-//!   never cloned into stale heap entries. Both policies settle vertices
-//!   in the same `(cost, vertex id)` order and detect the same ties, so
-//!   results are byte-identical;
-//! * **in-place cost arithmetic** — relaxations go through
-//!   [`PathCost::add_into`], which for [`rsp_arith::BigInt`] reuses limb
-//!   buffers instead of allocating per relaxed edge.
+//! * **one flat lazy heap** for every cost type — `std`'s [`BinaryHeap`]
+//!   of inline `(cost, vertex)` entries: no per-vertex heap-position
+//!   bookkeeping, no indirection on comparisons, candidates returned by
+//!   value ([`EdgeCostSource::compute`]). Improved keys are re-pushed and
+//!   stale entries skipped at pop, so vertices settle in `(cost, vertex
+//!   id)` order — the order of the [`crate::reference`] specification —
+//!   and results are byte-identical to it.
 //!
 //! The entry points are [`bfs_into`] and [`dijkstra_into`]; the classic
 //! [`crate::bfs`] / [`crate::dijkstra`] are thin wrappers that allocate one
@@ -49,9 +41,8 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
-use std::mem;
 
-use rsp_arith::{HeapKind, PathCost};
+use rsp_arith::PathCost;
 
 use crate::bfs::BfsTree;
 use crate::fault::FaultSet;
@@ -59,66 +50,32 @@ use crate::graph::{EdgeId, Graph, Vertex};
 use crate::path::Path;
 use crate::spt::WeightedSpt;
 
-/// Heap-position sentinel: the vertex is settled (or was never enqueued).
+/// `heap_pos` marker: the vertex is settled (or was never enqueued).
 ///
-/// Under the inline-key policy no heap positions exist; `heap_pos` then
-/// carries only this settled/open distinction (written once per vertex at
-/// discovery and during batch prefix copies), which the batch engine's
-/// replay needs to skip fully-resolved prefix-internal edges.
+/// The lazy heap tracks no positions; `heap_pos` carries only this
+/// settled/open distinction (written at discovery, at settle, and during
+/// batch prefix copies), which the batch engine's replay needs to skip
+/// fully-resolved prefix-internal edges. Keeping it a `u32` lets
+/// [`SearchScratch::begin`] assert that every vertex id fits below it.
 pub(crate) const SETTLED: u32 = u32::MAX;
 
-/// `heap_pos` marker for "discovered but not settled" where no real heap
-/// position exists: everywhere under the inline-key engine (positions are
-/// not tracked), and transiently in the batch engine's checkpoint restore
-/// before open vertices re-enter the indexed heap. Any value other than
-/// [`SETTLED`] works.
+/// `heap_pos` marker for "discovered but not settled". Any value other
+/// than [`SETTLED`] works.
 pub(crate) const OPEN: u32 = 0;
 
-/// Heap arity. Four keeps the tree shallow (fewer comparisons per
-/// decrease-key, the dominant operation) while sift-down still touches one
-/// cache line of children.
-const ARITY: usize = 4;
-
-/// Supplies directed edge costs to [`dijkstra_into`] by *accumulating*
-/// `base + w(e, from → to)` into a caller-provided output buffer.
-///
-/// The accumulate form (rather than "return the edge cost") exists so that
-/// implementations holding costs by reference — like the tiebreaking
-/// schemes' per-direction cost tables — never clone an exact cost to hand
-/// it to the search: they forward straight to [`PathCost::add_into`].
+/// Supplies directed edge costs to [`dijkstra_into`] as `base + w(e, from
+/// → to)`, returned by value.
 ///
 /// Any `FnMut(EdgeId, Vertex, Vertex) -> C` closure is an `EdgeCostSource`
 /// via the blanket impl, which keeps the classic [`crate::dijkstra`]
-/// signature working unchanged.
+/// signature working unchanged; [`DirectedCosts`] borrows per-direction
+/// cost tables instead.
 pub trait EdgeCostSource<C: PathCost> {
-    /// Writes `base + w(e, from → to)` into `out`, reusing `out`'s storage.
-    fn accumulate(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex, out: &mut C);
-
-    /// Returns `base + w(e, from → to)` by value — the inline-key
-    /// engine's relaxation path, which keeps register-copy candidates out
-    /// of memory entirely (the accumulate form forces a store/load round
-    /// trip through the scratch's candidate buffer on every edge).
-    ///
-    /// The default builds on [`EdgeCostSource::accumulate`] via a fresh
-    /// [`PathCost::zero`]; implementations serving `Copy` costs should
-    /// override it with pure value arithmetic. Only the inline-key engine
-    /// calls this, so heavyweight costs keep their buffer-reusing
-    /// accumulate path.
-    #[inline]
-    fn compute(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex) -> C {
-        let mut out = C::zero();
-        self.accumulate(base, e, from, to, &mut out);
-        out
-    }
+    /// Returns `base + w(e, from → to)`.
+    fn compute(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex) -> C;
 }
 
 impl<C: PathCost, F: FnMut(EdgeId, Vertex, Vertex) -> C> EdgeCostSource<C> for F {
-    #[inline]
-    fn accumulate(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex, out: &mut C) {
-        let w = self(e, from, to);
-        base.add_into(&w, out);
-    }
-
     #[inline]
     fn compute(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex) -> C {
         base.plus(&self(e, from, to))
@@ -130,7 +87,7 @@ impl<C: PathCost, F: FnMut(EdgeId, Vertex, Vertex) -> C> EdgeCostSource<C> for F
 /// lower endpoint to the higher, `bwd[e]` the reverse.
 ///
 /// This is the zero-clone [`EdgeCostSource`] used by the exact tiebreaking
-/// schemes: relaxations borrow the stored cost and accumulate in place.
+/// schemes: relaxations borrow the stored cost instead of cloning it.
 ///
 /// # Examples
 ///
@@ -160,15 +117,9 @@ impl<'a, C: PathCost> DirectedCosts<'a, C> {
 
 impl<C: PathCost> EdgeCostSource<C> for DirectedCosts<'_, C> {
     #[inline]
-    fn accumulate(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex, out: &mut C) {
+    fn compute(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex) -> C {
         // Endpoints are canonicalized `u < v`, so the traversal direction is
         // recoverable from the endpoint order alone.
-        let w = if from < to { &self.fwd[e] } else { &self.bwd[e] };
-        base.add_into(w, out);
-    }
-
-    #[inline]
-    fn compute(&mut self, base: &C, e: EdgeId, from: Vertex, to: Vertex) -> C {
         base.plus(if from < to { &self.fwd[e] } else { &self.bwd[e] })
     }
 }
@@ -217,35 +168,21 @@ pub struct SearchScratch<C = u32> {
     /// layout — parent writes are on every relaxation's hot path.
     pub(crate) parent: Vec<(u32, u32)>,
     pub(crate) hops: Vec<u32>,
-    /// Indexed d-ary min-heap of open vertex ids, ordered by `(key, id)`
-    /// ([`HeapKind::Indexed`] policy only).
-    pub(crate) heap: Vec<u32>,
-    /// Position of each vertex in `heap`, or [`SETTLED`]. Under the
-    /// inline-key policy this degrades to a settled/open marker (see
-    /// [`SETTLED`]).
+    /// Settled/open marker per vertex ([`SETTLED`] or [`OPEN`]).
     pub(crate) heap_pos: Vec<u32>,
-    /// Flat lazy min-heap of inline `(cost, vertex)` entries
-    /// ([`HeapKind::InlineKey`] policy only), vertex ids stored as `u32`
-    /// so a `(u32, u32)` entry is a single 8-byte word (the old
-    /// `(C, usize)` form padded every u32-cost entry to 16 bytes).
+    /// Flat lazy min-heap of inline `(cost, vertex)` entries, vertex ids
+    /// stored as `u32` so a `(u32, u32)` entry is a single 8-byte word.
     /// Improved keys are pushed as fresh entries; stale entries are
     /// skipped at pop. This is `std`'s binary heap on purpose: its unsafe
     /// hole-based sifts beat anything expressible under this crate's
     /// `#![forbid(unsafe_code)]` by ~40% on out-of-cache graphs (measured
     /// against a safe 4-ary heap).
     pub(crate) lazy: BinaryHeap<Reverse<(C, u32)>>,
-    /// The heap engine serving the current query (fixed at
-    /// [`SearchScratch::begin`]; see [`SearchScratch::set_heap_kind`]).
-    pub(crate) active: HeapKind,
-    /// Forced heap engine, overriding the automatic choice.
-    heap_override: Option<HeapKind>,
     /// BFS frontier ring buffer (stored-width ids).
     pub(crate) queue: VecDeque<u32>,
     /// Dirty list: vertices reached by the current query, in reach order
     /// (stored-width ids).
     pub(crate) touched: Vec<u32>,
-    /// Relaxation buffer: the candidate cost under evaluation.
-    pub(crate) cand: C,
 }
 
 impl<C: PathCost> SearchScratch<C> {
@@ -266,16 +203,10 @@ impl<C: PathCost> SearchScratch<C> {
             key: Vec::new(),
             parent: Vec::new(),
             hops: Vec::new(),
-            // Pre-size only the heap the policy will use; a forced
-            // override of the other engine just grows it amortized.
-            heap: Vec::with_capacity(if C::HEAP == HeapKind::Indexed { n } else { 0 }),
             heap_pos: Vec::new(),
-            lazy: BinaryHeap::with_capacity(if C::HEAP == HeapKind::InlineKey { n } else { 0 }),
-            active: C::HEAP,
-            heap_override: None,
+            lazy: BinaryHeap::with_capacity(n),
             queue: VecDeque::with_capacity(n),
             touched: Vec::with_capacity(n),
-            cand: C::zero(),
         };
         s.grow(n);
         s
@@ -295,7 +226,7 @@ impl<C: PathCost> SearchScratch<C> {
     /// invisible in `O(1)` (amortized: a full clear happens only when the
     /// 32-bit epoch wraps, once per ~4 billion queries).
     pub(crate) fn begin(&mut self, n: usize, source: Vertex, weighted: bool) {
-        assert!(n < SETTLED as usize, "graph too large for scratch heap indices");
+        assert!(n < SETTLED as usize, "graph too large for the scratch's u32 vertex ids");
         self.grow(n);
         if self.epoch == u32::MAX {
             self.stamp.fill(0);
@@ -308,29 +239,8 @@ impl<C: PathCost> SearchScratch<C> {
         self.weighted = weighted;
         self.ties = false;
         self.touched.clear();
-        self.heap.clear();
         self.lazy.clear();
         self.queue.clear();
-        // Fix the heap engine for this query: the cost type's policy,
-        // unless explicitly overridden.
-        self.active = self.heap_override.unwrap_or(C::HEAP);
-    }
-
-    /// Forces the heap engine for subsequent queries, or restores the
-    /// cost type's [`PathCost::HEAP`] policy with `None`.
-    ///
-    /// Both engines produce byte-identical results, so this is a
-    /// performance knob — used by the benches to measure the policies
-    /// against each other and by the property suite to pin them to each
-    /// other.
-    pub fn set_heap_kind(&mut self, kind: Option<HeapKind>) {
-        self.heap_override = kind;
-    }
-
-    /// Builder-style companion of [`SearchScratch::set_heap_kind`].
-    pub fn with_heap_kind(mut self, kind: HeapKind) -> Self {
-        self.heap_override = Some(kind);
-        self
     }
 
     /// The most recent query's source vertex.
@@ -561,22 +471,13 @@ pub(crate) fn bfs_run<C: PathCost, O: SearchObserver>(
 }
 
 /// Runs exact-cost Dijkstra from `source` in `g \ faults` into `scratch`,
-/// on the heap policy selected by the cost type ([`PathCost::HEAP`]).
+/// allocation-free once the scratch is warm (for register-copy costs).
 ///
 /// Semantics match [`crate::dijkstra`] exactly — same trees, costs, hop
-/// counts, and tie detection — under *either* policy. Vertices settle in
-/// `(cost, vertex id)` order, the same total order the lazy-deletion binary
-/// heap realized, so even on inputs with genuine ties the selected tree is
-/// identical.
-///
-/// Costs must be non-negative. Under [`HeapKind::Indexed`] each vertex's
-/// exact cost lives only in the scratch's cost array; the heap holds vertex
-/// ids, compares through that array, and decrease-keys in place, so no cost
-/// is ever cloned into the heap. Under [`HeapKind::InlineKey`] the heap
-/// holds flat `(cost, vertex)` entries (improved keys are re-pushed, stale
-/// entries skipped at pop) — cheaper for register-copy costs because no
-/// heap positions are maintained. Relaxed candidates are accumulated in
-/// place via [`PathCost::add_into`] either way.
+/// counts, and tie detection. Vertices settle in `(cost, vertex id)` order
+/// off the flat lazy heap, the order of the [`crate::reference`]
+/// specification, so even on inputs with genuine ties the selected tree is
+/// identical. Costs must be non-negative.
 ///
 /// # Panics
 ///
@@ -625,21 +526,20 @@ pub(crate) fn dijkstra_seed<C: PathCost>(
     scratch.key[source].set_zero();
     scratch.hops[source] = 0;
     scratch.touched.push(source as u32);
-    match scratch.active {
-        HeapKind::InlineKey => {
-            scratch.heap_pos[source] = OPEN;
-            scratch.lazy.push(Reverse((scratch.key[source].clone(), source as u32)));
-        }
-        HeapKind::Indexed => {
-            scratch.heap_pos[source] = 0;
-            scratch.heap.push(source as u32);
-        }
-    }
+    scratch.heap_pos[source] = OPEN;
+    scratch.lazy.push(Reverse((scratch.key[source].clone(), source as u32)));
 }
 
 /// Relaxes the single candidate route `u —e→ v` against `v`'s current
-/// state under the [`HeapKind::Indexed`] policy. `cand` must already hold
-/// the candidate cost `key[u] + w(e)`.
+/// state. `cand` is the candidate cost `key[u] + w(e)`.
+///
+/// A strictly better route pushes a fresh `(cost, vertex)` entry (the old
+/// entry goes stale and is skipped at pop), an equal-cost route flags a tie
+/// whether `v` is open or settled, and a worse route is ignored. A strictly
+/// better route into a *settled* vertex cannot occur with non-negative
+/// costs, which is what lets this skip the open/settled distinction — except
+/// for the one-time [`OPEN`] marker at discovery, kept so the batch
+/// engine's prefix replay can tell copied-settled vertices apart.
 ///
 /// Shared verbatim between the main loop and the batch engine's prefix
 /// replay — the decision structure (and therefore parent selection and tie
@@ -647,71 +547,6 @@ pub(crate) fn dijkstra_seed<C: PathCost>(
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn relax<C: PathCost>(
-    u: Vertex,
-    v: Vertex,
-    e: EdgeId,
-    epoch: u32,
-    cand: &mut C,
-    stamp: &mut [u32],
-    key: &mut [C],
-    parent: &mut [(u32, u32)],
-    hops: &mut [u32],
-    heap: &mut Vec<u32>,
-    heap_pos: &mut [u32],
-    touched: &mut Vec<u32>,
-    ties: &mut bool,
-) {
-    if stamp[v] != epoch {
-        // First route into v: adopt the candidate by swap, keeping
-        // both buffers warm.
-        stamp[v] = epoch;
-        mem::swap(&mut key[v], cand);
-        parent[v] = (u as u32, e as u32);
-        hops[v] = hops[u] + 1;
-        touched.push(v as u32);
-        let end = heap.len();
-        heap_pos[v] = end as u32;
-        heap.push(v as u32);
-        sift_up(heap, heap_pos, key, end);
-    } else if heap_pos[v] != SETTLED {
-        match (*cand).cmp(&key[v]) {
-            Ordering::Less => {
-                mem::swap(&mut key[v], cand);
-                parent[v] = (u as u32, e as u32);
-                hops[v] = hops[u] + 1;
-                let pos = heap_pos[v] as usize;
-                sift_up(heap, heap_pos, key, pos);
-            }
-            // Two distinct minimum-cost routes to v: a genuine tie.
-            Ordering::Equal => *ties = true,
-            Ordering::Greater => {}
-        }
-    } else if *cand == key[v] {
-        // Equal-cost route into an already-settled vertex is a tie
-        // too (matches the lazy-deletion engine's detection).
-        *ties = true;
-    }
-}
-
-/// Relaxes the single candidate route `u —e→ v` against `v`'s current
-/// state under the [`HeapKind::InlineKey`] policy. `cand` is the
-/// candidate cost `key[u] + w(e)`, passed *by value*: inline-eligible
-/// costs are register copies, and keeping the candidate out of memory is
-/// half the point of this engine (the indexed engine's
-/// [`EdgeCostSource::accumulate`] path round-trips every candidate
-/// through the scratch's buffer instead).
-///
-/// Reaches the exact same verdicts as [`relax`]: a strictly better route
-/// pushes a fresh `(cost, vertex)` entry (the old entry goes stale and is
-/// skipped at pop), an equal-cost route flags a tie whether `v` is open or
-/// settled, and a worse route is ignored. A strictly better route into a
-/// *settled* vertex cannot occur with non-negative costs, which is what
-/// lets this variant skip the open/settled distinction entirely — except
-/// for the one-time [`OPEN`] marker at discovery, kept so the batch
-/// engine's prefix replay can tell copied-settled vertices apart.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn relax_inline<C: PathCost>(
     u: Vertex,
     v: Vertex,
     e: EdgeId,
@@ -728,7 +563,7 @@ pub(crate) fn relax_inline<C: PathCost>(
 ) {
     if stamp[v] != epoch {
         stamp[v] = epoch;
-        key[v] = cand.clone();
+        key[v].clone_from(&cand);
         parent[v] = (u as u32, e as u32);
         hops[v] = hops[u] + 1;
         heap_pos[v] = OPEN;
@@ -737,79 +572,25 @@ pub(crate) fn relax_inline<C: PathCost>(
     } else {
         match cand.cmp(&key[v]) {
             Ordering::Less => {
-                key[v] = cand.clone();
+                key[v].clone_from(&cand);
                 parent[v] = (u as u32, e as u32);
                 hops[v] = hops[u] + 1;
                 lazy.push(Reverse((cand, v as u32)));
             }
-            // Equal-cost routes are ties, whether v is open or settled —
-            // the same two cases the indexed engine flags.
+            // Equal-cost routes are ties, whether v is open or settled.
             Ordering::Equal => *ties = true,
             Ordering::Greater => {}
         }
     }
 }
 
-/// The Dijkstra main loop over whatever open set the policy-selected heap
-/// currently holds; also the continuation step of a batch resume.
+/// The Dijkstra main loop over whatever open set the lazy heap currently
+/// holds; also the continuation step of a batch resume.
 ///
 /// Settles at most `limit` vertices, leaving the scratch consistent and
 /// resumable when the budget runs out (how the batch engine pauses the
 /// baseline run to capture checkpoints). Pass `usize::MAX` to drain.
 pub(crate) fn dijkstra_run<C, F, O>(
-    g: &Graph,
-    faults: &FaultSet,
-    costs: F,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-    limit: usize,
-) where
-    C: PathCost,
-    F: EdgeCostSource<C>,
-    O: SearchObserver,
-{
-    match scratch.active {
-        HeapKind::InlineKey => dijkstra_run_inline(g, faults, costs, scratch, obs, limit),
-        HeapKind::Indexed => dijkstra_run_indexed(g, faults, costs, scratch, obs, limit),
-    }
-}
-
-/// [`dijkstra_run`] under the indexed decrease-key policy.
-fn dijkstra_run_indexed<C, F, O>(
-    g: &Graph,
-    faults: &FaultSet,
-    mut costs: F,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-    limit: usize,
-) where
-    C: PathCost,
-    F: EdgeCostSource<C>,
-    O: SearchObserver,
-{
-    let SearchScratch {
-        epoch, stamp, key, parent, hops, heap, heap_pos, touched, cand, ties, ..
-    } = scratch;
-    let epoch = *epoch;
-
-    let mut budget = limit;
-    while budget > 0 && !heap.is_empty() {
-        let u = pop_min(heap, heap_pos, key) as usize;
-        budget -= 1;
-        obs.popped(u);
-        for (v, e) in g.neighbors(u) {
-            if faults.contains(e) {
-                continue;
-            }
-            costs.accumulate(&key[u], e, u, v, cand);
-            relax(u, v, e, epoch, cand, stamp, key, parent, hops, heap, heap_pos, touched, ties);
-        }
-        obs.relaxed(touched.len(), *ties);
-    }
-}
-
-/// [`dijkstra_run`] under the inline-key lazy policy.
-fn dijkstra_run_inline<C, F, O>(
     g: &Graph,
     faults: &FaultSet,
     mut costs: F,
@@ -834,8 +615,7 @@ fn dijkstra_run_inline<C, F, O>(
             // entry either settled u already or still precedes this one).
             continue;
         }
-        // No heap position to retire, but the settled/open marker keeps
-        // the batch engine's frontier filters policy-agnostic.
+        // The settled marker the batch engine's frontier filters read.
         heap_pos[u] = SETTLED;
         budget -= 1;
         obs.popped(u);
@@ -844,73 +624,10 @@ fn dijkstra_run_inline<C, F, O>(
                 continue;
             }
             let cand = costs.compute(&c, e, u, v);
-            relax_inline(
-                u, v, e, epoch, cand, stamp, key, parent, hops, lazy, heap_pos, touched, ties,
-            );
+            relax(u, v, e, epoch, cand, stamp, key, parent, hops, lazy, heap_pos, touched, ties);
         }
         obs.relaxed(touched.len(), *ties);
     }
-}
-
-/// `(key, id)`-lexicographic heap order; the id component never decides
-/// path selection, it only makes the order total (and reproduces the lazy
-/// binary heap's settle order on tied costs).
-#[inline]
-fn heap_less<C: Ord>(key: &[C], a: u32, b: u32) -> bool {
-    match key[a as usize].cmp(&key[b as usize]) {
-        Ordering::Less => true,
-        Ordering::Greater => false,
-        Ordering::Equal => a < b,
-    }
-}
-
-pub(crate) fn sift_up<C: Ord>(heap: &mut [u32], pos: &mut [u32], key: &[C], mut i: usize) {
-    while i > 0 {
-        let p = (i - 1) / ARITY;
-        if heap_less(key, heap[i], heap[p]) {
-            heap.swap(i, p);
-            pos[heap[i] as usize] = i as u32;
-            pos[heap[p] as usize] = p as u32;
-            i = p;
-        } else {
-            break;
-        }
-    }
-}
-
-fn sift_down<C: Ord>(heap: &mut [u32], pos: &mut [u32], key: &[C], mut i: usize) {
-    loop {
-        let first = i * ARITY + 1;
-        if first >= heap.len() {
-            break;
-        }
-        let last = (first + ARITY).min(heap.len());
-        let mut best = i;
-        for c in first..last {
-            if heap_less(key, heap[c], heap[best]) {
-                best = c;
-            }
-        }
-        if best == i {
-            break;
-        }
-        heap.swap(i, best);
-        pos[heap[i] as usize] = i as u32;
-        pos[heap[best] as usize] = best as u32;
-        i = best;
-    }
-}
-
-fn pop_min<C: Ord>(heap: &mut Vec<u32>, pos: &mut [u32], key: &[C]) -> u32 {
-    let root = heap[0];
-    pos[root as usize] = SETTLED;
-    let last = heap.pop().expect("pop_min on an empty heap");
-    if !heap.is_empty() {
-        heap[0] = last;
-        pos[last as usize] = 0;
-        sift_down(heap, pos, key, 0);
-    }
-    root
 }
 
 #[cfg(test)]
@@ -1037,63 +754,13 @@ mod tests {
     }
 
     #[test]
-    fn inline_and_indexed_engines_are_byte_identical() {
-        // Tie-rich near-uniform costs on a grid: settle order, parents,
-        // and tie flags must agree between the two heap engines on every
-        // query, including under scratch reuse.
-        let g = generators::grid(5, 6);
-        let mut inline = SearchScratch::<u64>::new().with_heap_kind(HeapKind::InlineKey);
-        let mut indexed = SearchScratch::<u64>::new().with_heap_kind(HeapKind::Indexed);
-        for s in [0, 13, 29] {
-            for e in [None, Some(0), Some(17)] {
-                let faults = e.map(FaultSet::single).unwrap_or_default();
-                let cost =
-                    |e: EdgeId, u: Vertex, v: Vertex| 100 + (e as u64 % 3) + u64::from(u < v);
-                dijkstra_into(&g, s, &faults, cost, &mut inline);
-                dijkstra_into(&g, s, &faults, cost, &mut indexed);
-                assert_eq!(inline.active, HeapKind::InlineKey);
-                assert_eq!(indexed.active, HeapKind::Indexed);
-                for v in g.vertices() {
-                    assert_eq!(inline.cost(v), indexed.cost(v), "cost({v})");
-                    assert_eq!(inline.hops(v), indexed.hops(v), "hops({v})");
-                    assert_eq!(inline.parent(v), indexed.parent(v), "parent({v})");
-                }
-                assert_eq!(inline.ties_detected(), indexed.ties_detected(), "ties s{s}");
-                assert_eq!(inline.reachable_count(), indexed.reachable_count());
-            }
-        }
-    }
-
-    #[test]
-    fn heap_engine_follows_policy_and_override() {
-        // Register-copy costs run the inline-key heap by policy; the
-        // override forces either engine and `None` restores the policy.
-        let g = generators::grid(4, 4);
-        let mut s = SearchScratch::<u64>::new();
-        dijkstra_into(&g, 0, &FaultSet::empty(), |_, _, _| 1u64, &mut s);
-        assert_eq!(s.active, HeapKind::InlineKey, "u64 policy: inline");
-        s.set_heap_kind(Some(HeapKind::Indexed));
-        dijkstra_into(&g, 0, &FaultSet::empty(), |_, _, _| 1u64, &mut s);
-        assert_eq!(s.active, HeapKind::Indexed, "override wins");
-        s.set_heap_kind(None);
-        dijkstra_into(&g, 0, &FaultSet::empty(), |_, _, _| 1u64, &mut s);
-        assert_eq!(s.active, HeapKind::InlineKey, "None restores the policy");
-
-        // BigInt keeps the indexed decrease-key heap by policy.
-        use rsp_arith::BigInt;
-        let mut b = SearchScratch::<BigInt>::new();
-        dijkstra_into(&g, 0, &FaultSet::empty(), |_, _, _| BigInt::one(), &mut b);
-        assert_eq!(b.active, HeapKind::Indexed);
-    }
-
-    #[test]
     fn inline_engine_stale_entries_are_skipped() {
         // The diamond forces a re-push: vertex 3 is first discovered at
         // cost 101 via 1, then improved to 11 via 2; the stale entry must
         // be ignored and the final tree must reflect the improvement.
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         let w = |e: EdgeId| [1u64, 10, 100, 1][e];
-        let mut scratch = SearchScratch::<u64>::new().with_heap_kind(HeapKind::InlineKey);
+        let mut scratch = SearchScratch::<u64>::new();
         dijkstra_into(&g, 0, &FaultSet::empty(), |e, _, _| w(e), &mut scratch);
         assert_eq!(scratch.cost(3), Some(&11));
         assert_eq!(scratch.path_to(3).unwrap().vertices(), &[0, 2, 3]);

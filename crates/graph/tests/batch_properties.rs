@@ -10,8 +10,8 @@ use std::ops::ControlFlow;
 use proptest::prelude::*;
 use rsp_graph::{
     bfs_batch, bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, dijkstra_into,
-    generators, BatchScratch, CheckpointMode, DirectedCosts, FaultSet, Graph, HeapKind,
-    SearchScratch, Vertex,
+    generators, BatchScratch, CheckpointMode, DirectedCosts, FaultSet, Graph, SearchScratch,
+    Vertex,
 };
 
 fn gnm_params() -> impl Strategy<Value = (usize, usize, u64)> {
@@ -62,6 +62,44 @@ type BfsSnapshot = (Vec<Option<u32>>, Vec<Option<(Vertex, usize)>>);
 
 fn bfs_snapshot(g: &Graph, s: &SearchScratch<u32>) -> BfsSnapshot {
     (g.vertices().map(|v| s.dist(v)).collect(), g.vertices().map(|v| s.parent(v)).collect())
+}
+
+/// Runs `dijkstra_batch` under every [`CheckpointMode`], asserting every
+/// cell equals a per-query `dijkstra_into` and the stats account for every
+/// query. Needs a connected graph with `n ≥ 16`, so that at least the
+/// `n/2` checkpoint depth is capturable.
+fn resume_modes_equal_single_queries<C: rsp_arith::PathCost>(
+    g: &Graph,
+    srcs: &[Vertex],
+    fs: &[FaultSet],
+    cost: impl Fn(usize, Vertex, Vertex) -> C + Copy,
+) {
+    let mut single = SearchScratch::<C>::new();
+    for mode in [CheckpointMode::Always, CheckpointMode::Never] {
+        let mut batch = BatchScratch::<C>::new().with_checkpoint_mode(mode);
+        dijkstra_batch(g, srcs, fs, cost, &mut batch, |si, fi, result| {
+            dijkstra_into(g, srcs[si], &fs[fi], cost, &mut single);
+            assert_eq!(snapshot(g, result), snapshot(g, &single), "{mode:?} s{si} f{fi}");
+            ControlFlow::Continue(())
+        });
+        let stats = batch.stats();
+        assert_eq!(stats.queries, srcs.len() * fs.len(), "{mode:?}");
+        assert_eq!(
+            stats.queries,
+            stats.baseline_answered
+                + stats.checkpoint_resumed
+                + stats.prefix_resumed
+                + stats.full_searches,
+            "query accounting ({mode:?})"
+        );
+        match mode {
+            CheckpointMode::Never => {
+                assert_eq!(stats.checkpoints_captured, 0);
+                assert_eq!(stats.checkpoint_resumed, 0);
+            }
+            CheckpointMode::Always => assert!(stats.checkpoints_captured >= srcs.len()),
+        }
+    }
 }
 
 proptest! {
@@ -154,8 +192,8 @@ proptest! {
     }
 
     /// Checkpointed and checkpoint-free resume are byte-identical to each
-    /// other and to the single-query engine — under both heap engines —
-    /// for arbitrary graphs, fault-set orders, and sources. Graphs are
+    /// other and to the single-query engine — for `u64` and `BigInt` costs
+    /// — for arbitrary graphs, fault-set orders, and sources. Graphs are
     /// drawn large enough that `Always` genuinely captures (depth
     /// `n/2 ≥ 8`), and near-colliding costs make tie flags part of the
     /// comparison.
@@ -174,39 +212,10 @@ proptest! {
         let cost = |e: usize, from: usize, to: usize| {
             1_000u64 + (e as u64 * 17) % 3 + u64::from(from < to)
         };
-        let mut single = SearchScratch::<u64>::new();
-        for heap in [HeapKind::InlineKey, HeapKind::Indexed] {
-            for mode in [CheckpointMode::Always, CheckpointMode::Never, CheckpointMode::Auto] {
-                let mut batch =
-                    BatchScratch::<u64>::new().with_checkpoint_mode(mode).with_heap_kind(heap);
-                dijkstra_batch(&g, &srcs, &fs, cost, &mut batch, |si, fi, result| {
-                    dijkstra_into(&g, srcs[si], &fs[fi], cost, &mut single);
-                    assert_eq!(
-                        snapshot(&g, result),
-                        snapshot(&g, &single),
-                        "{heap:?}/{mode:?} s{si} f{fi}"
-                    );
-                    ControlFlow::Continue(())
-                });
-                let stats = batch.stats();
-                prop_assert_eq!(stats.queries, srcs.len() * fs.len(), "{:?}", mode);
-                prop_assert_eq!(
-                    stats.queries,
-                    stats.baseline_answered + stats.checkpoint_resumed + stats.prefix_resumed
-                        + stats.full_searches,
-                    "query accounting ({:?}/{:?})", heap, mode
-                );
-                if mode == CheckpointMode::Never {
-                    prop_assert_eq!(stats.checkpoints_captured, 0usize);
-                    prop_assert_eq!(stats.checkpoint_resumed, 0usize);
-                } else {
-                    // u64 is inline-eligible: Auto checkpoints like
-                    // Always, and n ≥ 16 means at least the n/2 depth is
-                    // capturable on a connected graph.
-                    prop_assert!(stats.checkpoints_captured >= srcs.len(), "{:?}", mode);
-                }
-            }
-        }
+        resume_modes_equal_single_queries(&g, &srcs, &fs, cost);
+        resume_modes_equal_single_queries(&g, &srcs, &fs, |e, from, to| {
+            rsp_arith::BigInt::from(cost(e, from, to) as i64)
+        });
     }
 
     /// Worker counts 1, 2, and 8 produce identical result matrices — and

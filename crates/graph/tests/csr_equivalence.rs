@@ -1,6 +1,7 @@
 //! CSR-core differential suite: every production engine — `bfs_into` /
-//! `dijkstra_into` under both heap policies, `dijkstra_batch` under every
-//! [`CheckpointMode`], and the worker-pool fan-out at 1/2/8 workers — must
+//! `dijkstra_into` for `u64`, `u128` and `BigInt` costs, `dijkstra_batch`
+//! under every [`CheckpointMode`] and cost type, and the worker-pool
+//! fan-out at 1/2/8 workers — must
 //! be cell-identical (costs, hop counts, parents, tie flags, reachable
 //! counts) to the pre-migration Vec-of-Vec reference engine preserved in
 //! [`rsp_graph::reference`], on every generator family the workloads use:
@@ -14,7 +15,7 @@ use rsp_arith::{BigInt, PathCost};
 use rsp_graph::reference::{ref_bfs, ref_dijkstra, RefGraph, RefTree};
 use rsp_graph::{
     bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, dijkstra_into, gen, generators,
-    BatchScratch, CheckpointMode, DirectedCosts, FaultSet, Graph, HeapKind, SearchScratch, Vertex,
+    BatchScratch, CheckpointMode, DirectedCosts, FaultSet, Graph, SearchScratch, Vertex,
 };
 
 /// One graph drawn from the six generator families the differential suite
@@ -75,10 +76,30 @@ fn assert_dijkstra_matches<C: PathCost>(g: &Graph, got: &SearchScratch<C>, spec:
     assert_eq!(got.reachable_count(), spec.reachable_count(), "reachable count");
 }
 
-/// u64 costs with per-edge and per-direction variation: the inline-key
-/// heap workload.
+/// u64 costs with per-edge and per-direction variation.
 fn u64_cost(e: usize, from: Vertex, to: Vertex) -> u64 {
     1_000_000 + (e as u64 * 17) % 1000 + u64::from(from < to) * 3
+}
+
+/// Runs `dijkstra_batch` under every [`CheckpointMode`] and asserts every
+/// cell equals the reference matrix, computed once and shared by the modes.
+fn batch_equals_reference<C: PathCost>(
+    g: &Graph,
+    srcs: &[Vertex],
+    fs: &[FaultSet],
+    cost: impl Fn(usize, Vertex, Vertex) -> C + Copy,
+) {
+    let r = RefGraph::from_graph(g);
+    let spec: Vec<Vec<RefTree<C>>> =
+        srcs.iter().map(|&s| fs.iter().map(|f| ref_dijkstra(&r, s, f, cost)).collect()).collect();
+    for mode in [CheckpointMode::Always, CheckpointMode::Never] {
+        let mut batch = BatchScratch::<C>::new().with_checkpoint_mode(mode);
+        dijkstra_batch(g, srcs, fs, cost, &mut batch, |si, fi, result| {
+            assert_dijkstra_matches(g, result, &spec[si][fi]);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(batch.stats().queries, srcs.len() * fs.len(), "{mode:?}");
+    }
 }
 
 proptest! {
@@ -97,13 +118,12 @@ proptest! {
         }
     }
 
-    /// The inline-key engine (u64 costs) equals the reference lazy heap.
+    /// The engine with u64 costs equals the reference lazy heap.
     #[test]
     fn dijkstra_inline_key_equals_reference(
         g in family_graph(),
         picks in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 1..7),
     ) {
-        prop_assert_eq!(u64::HEAP, HeapKind::InlineKey);
         let r = RefGraph::from_graph(&g);
         let mut scratch = SearchScratch::<u64>::new();
         for (s, faults) in queries(&g, &picks) {
@@ -112,14 +132,13 @@ proptest! {
         }
     }
 
-    /// The indexed decrease-key engine (`BigInt` costs) equals the same
-    /// reference — both heap policies pin to one specification.
+    /// The engine with heap-allocated `BigInt` costs equals the same
+    /// reference.
     #[test]
-    fn dijkstra_indexed_equals_reference(
+    fn dijkstra_bigint_equals_reference(
         g in family_graph(),
         picks in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 1..5),
     ) {
-        prop_assert_eq!(BigInt::HEAP, HeapKind::Indexed);
         let r = RefGraph::from_graph(&g);
         let cost = |e: usize, from: Vertex, to: Vertex| {
             BigInt::from(1_000_000i64 + (e as i64 * 17) % 1000 + i64::from(from < to) * 3)
@@ -152,16 +171,17 @@ proptest! {
         }
     }
 
-    /// `dijkstra_batch` — every `CheckpointMode` under both heap engines —
-    /// equals the reference on every cell of the `sources × fault_sets`
-    /// plan. Near-colliding costs make tie flags part of the comparison.
+    /// `dijkstra_batch` — every `CheckpointMode` for `u64` and `BigInt`
+    /// costs — equals the reference on every cell of the `sources ×
+    /// fault_sets` plan. Near-colliding costs make tie flags part of the
+    /// comparison; `BigInt` covers checkpoint restore of heap-allocated
+    /// costs.
     #[test]
-    fn batch_equals_reference_under_all_modes_and_heaps(
+    fn batch_equals_reference_under_all_modes_and_costs(
         g in family_graph(),
         fault_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..6),
         source_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..4),
     ) {
-        let r = RefGraph::from_graph(&g);
         let fs: Vec<FaultSet> = fault_picks
             .iter()
             .enumerate()
@@ -178,24 +198,8 @@ proptest! {
         let cost = |e: usize, from: Vertex, to: Vertex| {
             1_000u64 + (e as u64 * 17) % 3 + u64::from(from < to)
         };
-
-        // Reference matrix, computed once and shared by all six configs.
-        let spec: Vec<Vec<RefTree<u64>>> = srcs
-            .iter()
-            .map(|&s| fs.iter().map(|f| ref_dijkstra(&r, s, f, cost)).collect())
-            .collect();
-
-        for heap in [HeapKind::InlineKey, HeapKind::Indexed] {
-            for mode in [CheckpointMode::Auto, CheckpointMode::Always, CheckpointMode::Never] {
-                let mut batch =
-                    BatchScratch::<u64>::new().with_checkpoint_mode(mode).with_heap_kind(heap);
-                dijkstra_batch(&g, &srcs, &fs, cost, &mut batch, |si, fi, result| {
-                    assert_dijkstra_matches(&g, result, &spec[si][fi]);
-                    ControlFlow::Continue(())
-                });
-                prop_assert_eq!(batch.stats().queries, srcs.len() * fs.len(), "{:?}/{:?}", heap, mode);
-            }
-        }
+        batch_equals_reference(&g, &srcs, &fs, cost);
+        batch_equals_reference(&g, &srcs, &fs, |e, from, to| BigInt::from(cost(e, from, to) as i64));
     }
 
     /// The worker-pool fan-out at 1, 2, and 8 workers equals the

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rsp_arith::BigInt;
 use rsp_graph::{
     bfs, bfs_into, dijkstra, dijkstra_into, generators, BfsTree, DirectedCosts, FaultSet, Graph,
-    HeapKind, SearchScratch, WeightedSpt,
+    SearchScratch, WeightedSpt,
 };
 
 fn gnm_params() -> impl Strategy<Value = (usize, usize, u64)> {
@@ -126,41 +126,8 @@ proptest! {
         }
     }
 
-    /// The inline-key and indexed heap engines are byte-identical: same
-    /// costs, hops, parents, and tie flags on arbitrary graphs and
-    /// back-to-back query plans. (Each engine is additionally pinned to
-    /// the reference `dijkstra` by the tests above; this pins them to each
-    /// other directly, including their reused-scratch state machines.)
-    #[test]
-    fn heap_engines_are_byte_identical(
-        (n, m, seed) in gnm_params(),
-        picks in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 1..7),
-        tie_rich in any::<bool>(),
-    ) {
-        let g = generators::connected_gnm(n, m, seed);
-        // Tie-rich plans use near-colliding costs so both engines must
-        // agree on tie detection, not just on unique shortest paths.
-        let spread: u64 = if tie_rich { 2 } else { 997 };
-        let cost = move |e: usize, from: usize, to: usize| {
-            1_000u64 + (e as u64 * 17) % spread + u64::from(from < to && !tie_rich)
-        };
-        let mut inline = SearchScratch::<u64>::new().with_heap_kind(HeapKind::InlineKey);
-        let mut indexed = SearchScratch::<u64>::new().with_heap_kind(HeapKind::Indexed);
-        for (s, faults) in queries(&g, &picks) {
-            dijkstra_into(&g, s, &faults, cost, &mut inline);
-            dijkstra_into(&g, s, &faults, cost, &mut indexed);
-            for v in g.vertices() {
-                prop_assert_eq!(inline.cost(v), indexed.cost(v), "cost({})", v);
-                prop_assert_eq!(inline.hops(v), indexed.hops(v), "hops({})", v);
-                prop_assert_eq!(inline.parent(v), indexed.parent(v), "parent({})", v);
-            }
-            prop_assert_eq!(inline.ties_detected(), indexed.ties_detected(), "ties");
-            prop_assert_eq!(inline.reachable_count(), indexed.reachable_count());
-        }
-    }
-
     /// Unit-cost reused Dijkstra agrees with BFS distances (ties galore:
-    /// the decrease-key engine must pick the same trees as the allocating
+    /// the scratch engine must pick the same trees as the allocating
     /// engine even when costs collide).
     #[test]
     fn unit_cost_dijkstra_into_matches_bfs(

@@ -283,13 +283,12 @@ fn row_parent<C>(r: &TreeRow<C>, v: Vertex) -> Option<(Vertex, EdgeId)> {
 }
 
 /// Reusable per-build state for the localized patch waves: the lazy
-/// `(cost, vertex)` heap, a candidate-cost buffer, and the subtree
+/// `(cost, vertex)` heap and the subtree
 /// scratch — allocated once, reused across every `(event, row)` pair.
 struct Patcher<'g, C: PathCost> {
     g: &'g Graph,
     costs: DirectedCosts<'g, C>,
     heap: BinaryHeap<Reverse<(C, Vertex)>>,
-    cand: C,
     subtree: SubtreeScratch,
     detached: Vec<Vertex>,
     source: Vertex,
@@ -302,7 +301,6 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
             g,
             costs,
             heap: BinaryHeap::new(),
-            cand: C::zero(),
             subtree: SubtreeScratch::with_capacity(g.n()),
             detached: Vec::new(),
             source: 0,
@@ -386,11 +384,11 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
             let v_reached = r.hops[v] != NONE;
             let mut improved = None;
             if u_reached {
-                self.costs.accumulate(&r.costs[u], e, u, v, &mut self.cand);
+                let cand = self.costs.compute(&r.costs[u], e, u, v);
                 if !v_reached {
                     improved = Some((u, v));
                 } else {
-                    match self.cand.cmp(&r.costs[v]) {
+                    match cand.cmp(&r.costs[v]) {
                         Ordering::Less => improved = Some((u, v)),
                         Ordering::Equal => {
                             return Err(DeltaUnsupported::TieDetected { source });
@@ -400,11 +398,11 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
                 }
             }
             if improved.is_none() && v_reached {
-                self.costs.accumulate(&r.costs[v], e, v, u, &mut self.cand);
+                let cand = self.costs.compute(&r.costs[v], e, v, u);
                 if !u_reached {
                     improved = Some((v, u));
                 } else {
-                    match self.cand.cmp(&r.costs[u]) {
+                    match cand.cmp(&r.costs[u]) {
                         Ordering::Less => improved = Some((v, u)),
                         Ordering::Equal => {
                             return Err(DeltaUnsupported::TieDetected { source });
@@ -435,9 +433,9 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
         e: EdgeId,
         to: Vertex,
     ) -> Result<(), DeltaUnsupported> {
-        self.costs.accumulate(&row.costs[from], e, from, to, &mut self.cand);
+        let cand = self.costs.compute(&row.costs[from], e, from, to);
         if row.hops[to] != NONE {
-            match self.cand.cmp(&row.costs[to]) {
+            match cand.cmp(&row.costs[to]) {
                 Ordering::Greater => return Ok(()),
                 Ordering::Equal => {
                     return Err(DeltaUnsupported::TieDetected { source: self.source })
@@ -445,7 +443,7 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
                 Ordering::Less => {}
             }
         }
-        row.costs[to].clone_from(&self.cand);
+        row.costs[to] = cand;
         row.parent_vertex[to] = from as u32;
         row.parent_edge[to] = e as u32;
         row.hops[to] = row.hops[from] + 1;

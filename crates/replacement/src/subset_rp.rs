@@ -130,10 +130,9 @@ pub fn subset_replacement_paths(g: &Graph, sources: &[Vertex], seed: u64) -> Sub
 
 /// [`subset_replacement_paths`] with both phases fanned out over a worker
 /// pool: the per-source SPT builds run through
-/// [`rsp_graph::dijkstra_batch_par`] (on the heap engine the `u128` cost
-/// policy selects — see `rsp_arith::PathCost::HEAP`), and the `O(σ²)`
-/// per-pair sub-instances are distributed across workers, each holding
-/// its own [`ReplacementScratch`].
+/// [`rsp_graph::dijkstra_batch_par`], and the `O(σ²)` per-pair
+/// sub-instances are distributed across workers, each holding its own
+/// [`ReplacementScratch`].
 ///
 /// Output is identical to the sequential form for every worker count
 /// (`workers = 1` runs inline on the calling thread).
