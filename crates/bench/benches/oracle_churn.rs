@@ -121,8 +121,6 @@ fn replay_long_trace(
 fn commit_rows(c: &mut Criterion, group_name: &str, g: &Graph, scheme: &ExactScheme<u128>) {
     let mut rebuild = ChurnPipeline::with_config(scheme, rebuild_config()).expect("initial build");
     let mut delta = ChurnPipeline::new(scheme).expect("initial build");
-    rebuild.set_sleeper(|_| {});
-    delta.set_sleeper(|_| {});
 
     let long = random_trace_with(
         g,
@@ -171,7 +169,6 @@ fn bench_ingest(c: &mut Criterion) {
     let g = generators::grid(16, 16);
     let scheme = RandomGridAtw::theorem20(&g, 42).into_scheme();
     let mut pipeline = ChurnPipeline::new(&scheme).expect("fault-free build succeeds");
-    pipeline.set_sleeper(|_| {}); // benches never sleep through backoff
 
     let trace = random_trace(&g, TRACE_LEN, 0x1057);
     let frames = StreamInjector::new(InjectionPlan::hostile(0x1057)).perturb(&trace);
@@ -196,7 +193,6 @@ fn bench_ingest(c: &mut Criterion) {
     // Untimed events/sec measurement on a fresh pipeline (warm caches,
     // no accumulated quarantine): the operational throughput number.
     let mut fresh = ChurnPipeline::new(&scheme).expect("fault-free build succeeds");
-    fresh.set_sleeper(|_| {});
     let t0 = Instant::now();
     for frame in &frames {
         let _ = fresh.ingest_wire(frame);
@@ -231,7 +227,6 @@ fn bench_injection_convergence(c: &mut Criterion) {
     let g = generators::grid(8, 8);
     let scheme = RandomGridAtw::theorem20(&g, 42).into_scheme();
     let mut pipeline = ChurnPipeline::new(&scheme).expect("fault-free build succeeds");
-    pipeline.set_sleeper(|_| {});
     let trace = random_trace(&g, 96, 0xc0ff_ee00);
     let mut injector = StreamInjector::new(InjectionPlan::hostile(0xc0ff_ee00));
 
@@ -290,8 +285,6 @@ fn bench_recovery(c: &mut Criterion) {
         ChurnPipeline::with_config(&scheme, cfg.clone()).expect("fault-free build succeeds");
     let mut compacted =
         ChurnPipeline::with_config(&scheme, cfg).expect("fault-free build succeeds");
-    genesis.set_sleeper(|_| {});
-    compacted.set_sleeper(|_| {});
     for (i, &ev) in trace.iter().enumerate() {
         genesis.ingest(ev).expect("valid trace events are admissible");
         compacted.ingest(ev).expect("valid trace events are admissible");

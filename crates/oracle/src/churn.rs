@@ -20,16 +20,18 @@
 //!   *exposed*, not hidden — [`ChurnHealth`] reports the pending-event
 //!   count and the published epoch/sequence lag.
 //! * **Delta-first commits.** With [`ChurnConfig::delta_enabled`] the
-//!   first build attempt patches the published snapshot through
+//!   first build patches the published snapshot through
 //!   [`crate::delta::DeltaBuilder`] — per-epoch work proportional to
 //!   the detached subtree, untouched rows shared copy-on-write — and
 //!   still passes the same cross-check gate; any delta refusal or
 //!   failure falls back to the full rebuild with the reason recorded in
 //!   [`ChurnHealth::last_delta_fallback`].
-//! * **Retry, backoff, escalation.** Failed builds retry with
-//!   exponential backoff up to [`ChurnConfig::retry_budget`], then
-//!   escalate to a from-scratch full rebuild that re-derives the fault
-//!   state from the journal.
+//! * **One escalation ladder, no retries.** A build is a pure function
+//!   of the scheme, the fault set and the target sequence, so re-running
+//!   one heals nothing. Each commit climbs the [`BuildStage`] ladder —
+//!   delta patch, full build, full rebuild from the journal — running
+//!   every rung at most once and never sleeping, then reports
+//!   [`ChurnStalled`].
 //! * **Deterministic recovery.** The accepted-event journal is
 //!   append-only; [`ChurnPipeline::replay`] reconstructs an identical
 //!   pipeline from it after a crash.
@@ -93,10 +95,8 @@
 //! ```
 
 use std::any::Any;
-use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rsp_arith::PathCost;
@@ -104,10 +104,7 @@ use rsp_core::{ExactScheme, Rpts};
 use rsp_graph::journal::{
     decode_journal, JournalCheckpoint, JournalDecodeError, JournalFrame, JournalTail,
 };
-use rsp_graph::{
-    dijkstra_batch, BatchScratch, FaultEvent, FaultEventError, FaultSet, FaultState, Vertex,
-    WireEventError,
-};
+use rsp_graph::{FaultEvent, FaultEventError, FaultState, Vertex, WireEventError};
 
 use crate::delta::{DeltaBuilder, DeltaError, DeltaUnsupported};
 use crate::serve::{Oracle, OracleReader};
@@ -119,16 +116,9 @@ pub mod inject;
 /// Tuning knobs for a [`ChurnPipeline`].
 ///
 /// The defaults suit tests and small deployments; production control
-/// planes will want a larger backoff base and more cross-check sources.
+/// planes will want more cross-check sources.
 #[derive(Clone, Debug)]
 pub struct ChurnConfig {
-    /// Incremental build attempts per [`ChurnPipeline::commit`] before
-    /// escalating to a from-scratch full rebuild (default 3).
-    pub retry_budget: u32,
-    /// Backoff before retry `k` is `backoff_base × 2^k` (default 5ms).
-    pub backoff_base: Duration,
-    /// Upper bound on any single backoff delay (default 500ms).
-    pub backoff_cap: Duration,
     /// Number of sources sampled for the batch-engine cross-check of
     /// every built snapshot; `0` disables the gate (default 4).
     pub cross_check_sources: usize,
@@ -157,41 +147,12 @@ pub struct ChurnConfig {
 impl Default for ChurnConfig {
     fn default() -> Self {
         ChurnConfig {
-            retry_budget: 3,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(500),
             cross_check_sources: 4,
             cross_check_seed: 0x5eed_cafe,
             delta_enabled: true,
             max_pending_events: 65_536,
             max_quarantine_log: 1_024,
         }
-    }
-}
-
-impl ChurnConfig {
-    /// The exponential-backoff delay before retrying after failed
-    /// attempt `attempt` (0-based): `backoff_base × 2^attempt`, capped
-    /// at [`ChurnConfig::backoff_cap`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use rsp_oracle::churn::ChurnConfig;
-    ///
-    /// let cfg = ChurnConfig {
-    ///     backoff_base: Duration::from_millis(10),
-    ///     backoff_cap: Duration::from_millis(35),
-    ///     ..ChurnConfig::default()
-    /// };
-    /// assert_eq!(cfg.backoff(0), Duration::from_millis(10));
-    /// assert_eq!(cfg.backoff(1), Duration::from_millis(20));
-    /// assert_eq!(cfg.backoff(2), Duration::from_millis(35)); // capped
-    /// ```
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let mult = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        self.backoff_base.checked_mul(mult).map_or(self.backoff_cap, |d| d.min(self.backoff_cap))
     }
 }
 
@@ -299,7 +260,7 @@ pub struct QuarantinedEvent {
     pub reason: QuarantineReason,
 }
 
-/// Why one snapshot build attempt failed.
+/// Why one rung's snapshot build failed.
 #[derive(Clone, Debug)]
 pub enum BuildFailure {
     /// The builder panicked; the payload message is preserved.
@@ -335,14 +296,15 @@ impl std::fmt::Display for BuildFailure {
 
 impl std::error::Error for BuildFailure {}
 
-/// A [`ChurnPipeline::commit`] call that exhausted its retry budget
-/// *and* the full-rebuild escalation. The oracle keeps serving the last
-/// good snapshot; the next `commit` starts a fresh attempt cycle.
+/// A [`ChurnPipeline::commit`] call whose every [`BuildStage`] failed.
+/// The oracle keeps serving the last good snapshot; the next `commit`
+/// climbs the ladder again.
 #[derive(Clone, Debug)]
 pub struct ChurnStalled {
-    /// Build attempts made by this commit call (incremental + full).
+    /// Build attempts made by this commit call: one per failed rung (a
+    /// declined delta rung costs none).
     pub attempts: u32,
-    /// The failure that ended the last attempt.
+    /// The failure of the last rung, [`BuildStage::JournalRebuild`].
     pub last_failure: BuildFailure,
 }
 
@@ -367,7 +329,7 @@ pub struct CommitReport {
     pub seq: u64,
     /// Build attempts made (0 when the pipeline was already current).
     pub attempts: u32,
-    /// `true` iff the publish came from the full-rebuild escalation.
+    /// `true` iff the publish came from [`BuildStage::JournalRebuild`].
     pub full_rebuild: bool,
     /// `true` iff the published snapshot was produced by the delta
     /// builder patching the predecessor (rather than a from-scratch
@@ -429,22 +391,32 @@ pub struct ChurnHealth {
     pub last_failure: Option<String>,
 }
 
+/// Which rung of the commit ladder is about to run — the escalation
+/// order of [`ChurnPipeline::commit`], mirroring
+/// [`crate::scrub::ScrubStage`]. Each rung runs at most once per commit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BuildStage {
+    /// Patch the published snapshot with the delta builder (only with
+    /// [`ChurnConfig::delta_enabled`]).
+    Delta,
+    /// Build from scratch on the pipeline's accepted fault state.
+    Full,
+    /// Build from scratch on a fault state re-derived from the journal
+    /// alone — the escalation counted in [`ChurnHealth::full_rebuilds`].
+    JournalRebuild,
+}
+
 /// The injection point a [`ChurnPipeline`] probe observes: which build
-/// attempt is about to run.
+/// is about to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BuildContext {
-    /// 0-based attempt number within the current commit call.
-    pub attempt: u32,
-    /// `true` for the full-rebuild escalation attempt.
-    pub full_rebuild: bool,
-    /// `true` when this attempt will try the delta builder first (see
-    /// [`ChurnConfig::delta_enabled`]; only attempt 0 tries deltas).
-    pub delta: bool,
+    /// The rung of the commit ladder about to run.
+    pub stage: BuildStage,
     /// The journal sequence the build is trying to fold in.
     pub target_seq: u64,
 }
 
-/// What an injection probe does to a build attempt (see
+/// What an injection probe does to one rung's build (see
 /// [`ChurnPipeline::set_build_probe`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BuildFault {
@@ -458,7 +430,7 @@ pub enum BuildFault {
     Corrupt,
 }
 
-/// A boxed fault-injection probe consulted before each build attempt
+/// A boxed fault-injection probe consulted before each build
 /// (see [`ChurnPipeline::set_build_probe`] and [`inject::flaky_builder`]).
 pub type BuildProbe = Box<dyn FnMut(&BuildContext) -> BuildFault + Send>;
 
@@ -501,7 +473,6 @@ pub struct ChurnPipeline<C: PathCost + 'static> {
     last_delta_fallback: Option<String>,
     last_failure: Option<BuildFailure>,
     config: ChurnConfig,
-    sleeper: Box<dyn FnMut(Duration) + Send>,
     probe: Option<BuildProbe>,
 }
 
@@ -552,7 +523,6 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
             last_delta_fallback: None,
             last_failure: None,
             config,
-            sleeper: Box::new(std::thread::sleep),
             probe: None,
         })
     }
@@ -950,23 +920,28 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
     /// Recompiles a snapshot folding every accepted event and publishes
     /// it through the epoch swap. No-op when already current.
     ///
-    /// The first attempt patches the published snapshot with the
-    /// **delta builder** when [`ChurnConfig::delta_enabled`]: a
-    /// structural delta refusal runs the from-scratch builder
-    /// immediately in the same attempt, a hard delta failure burns the
-    /// attempt like any build failure, and either reason lands in
-    /// [`ChurnHealth::last_delta_fallback`]. Rebuild-only behavior is
-    /// one config flag away and cell-for-cell equivalent.
-    /// Each build attempt is **panic-isolated** and **cross-checked**
-    /// against the batch engine on sampled sources; a failed attempt
-    /// leaves the last good snapshot serving, backs off exponentially
-    /// ([`ChurnConfig::backoff`]), and retries. After
-    /// [`ChurnConfig::retry_budget`] incremental failures the pipeline
-    /// escalates to a from-scratch **full rebuild** (fault state
-    /// re-derived from the journal). If that also fails, `commit`
-    /// returns [`ChurnStalled`] — readers are still serving the last
-    /// good snapshot, [`ChurnPipeline::health`] reports the staleness,
-    /// and the next `commit` starts a fresh cycle.
+    /// A commit climbs the [`BuildStage`] ladder, running each rung at
+    /// most once and never sleeping — a build is a pure function of the
+    /// scheme, the fault set and the target sequence, so re-running a
+    /// failed one would fail the same way:
+    ///
+    /// 1. [`BuildStage::Delta`] (with [`ChurnConfig::delta_enabled`])
+    ///    patches the published snapshot. A structural refusal
+    ///    ([`crate::delta::DeltaUnsupported`]) costs no attempt and
+    ///    counts no failure; either way the fallback's reason lands in
+    ///    [`ChurnHealth::last_delta_fallback`].
+    /// 2. [`BuildStage::Full`] builds from scratch on the accepted fault
+    ///    state.
+    /// 3. [`BuildStage::JournalRebuild`] builds from scratch on a fault
+    ///    state re-derived from the journal.
+    ///
+    /// Every rung is **panic-isolated** and **cross-checked** against
+    /// the batch engine on sampled sources; a failed rung leaves the
+    /// last good snapshot serving. If every rung fails, `commit` returns
+    /// [`ChurnStalled`] — readers are still serving the last good
+    /// snapshot, [`ChurnPipeline::health`] reports the staleness, and
+    /// the next `commit` climbs the ladder again. Rebuild-only behavior
+    /// is one config flag away and cell-for-cell equivalent.
     pub fn commit(&mut self) -> Result<CommitReport, ChurnStalled> {
         let target_seq = self.accepted_seq();
         if target_seq == self.published_seq && self.consecutive_failures == 0 {
@@ -980,34 +955,34 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
             });
         }
 
+        let ladder: &[BuildStage] = if self.config.delta_enabled {
+            &[BuildStage::Delta, BuildStage::Full, BuildStage::JournalRebuild]
+        } else {
+            &[BuildStage::Full, BuildStage::JournalRebuild]
+        };
         let mut attempts = 0;
-        for attempt in 0..self.config.retry_budget {
-            attempts += 1;
-            match self.attempt(attempt, false, target_seq) {
-                Ok((snapshot, delta)) => {
-                    return Ok(self.publish_built(snapshot, target_seq, attempts, false, delta))
+        for &stage in ladder {
+            let err = match self.build_stage(stage, target_seq) {
+                Ok(snapshot) => {
+                    return Ok(self.publish_built(snapshot, target_seq, attempts + 1, stage))
                 }
-                Err(failure) => {
-                    self.note_failure(failure);
-                    let delay = self.config.backoff(attempt);
-                    (self.sleeper)(delay);
-                }
+                Err(err) => err,
+            };
+            if stage == BuildStage::Delta {
+                self.delta_fallbacks += 1;
+                self.last_delta_fallback = Some(match &err {
+                    RungError::Declined(u) => format!("delta unsupported: {u}"),
+                    RungError::Failed(failure) => failure.to_string(),
+                });
+            }
+            if let RungError::Failed(failure) = err {
+                attempts += 1;
+                self.consecutive_failures += 1;
+                self.last_failure = Some(failure);
             }
         }
-
-        // Escalation: re-derive the fault state from the journal and
-        // build from scratch.
-        attempts += 1;
-        self.full_rebuilds += 1;
-        match self.attempt(self.config.retry_budget, true, target_seq) {
-            Ok((snapshot, _)) => {
-                Ok(self.publish_built(snapshot, target_seq, attempts, true, false))
-            }
-            Err(failure) => {
-                self.note_failure(failure.clone());
-                Err(ChurnStalled { attempts, last_failure: failure })
-            }
-        }
+        let last_failure = self.last_failure.clone().expect("the last rung never declines");
+        Err(ChurnStalled { attempts, last_failure })
     }
 
     /// How fresh the serving snapshot is and how the control plane has
@@ -1034,45 +1009,27 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         }
     }
 
-    /// Replaces the between-retry sleeper (default:
-    /// [`std::thread::sleep`]). The deterministic test harness installs
-    /// a recording no-op so backoff schedules are asserted, not waited
-    /// for.
-    pub fn set_sleeper(&mut self, sleeper: impl FnMut(Duration) + Send + 'static) {
-        self.sleeper = Box::new(sleeper);
-    }
-
-    /// Installs a fault-injection probe consulted before every build
-    /// attempt (see [`BuildFault`]); `None` clears it. This is the
-    /// harness seam [`inject`] uses to panic the builder at chosen
-    /// steps and to prove the cross-check rejects corrupted snapshots.
+    /// Installs a fault-injection probe consulted once before every
+    /// rung of the commit ladder (see [`BuildStage`] and [`BuildFault`]);
+    /// `None` clears it. This is the harness seam [`inject`] uses to
+    /// panic the builder at chosen steps and to prove the cross-check
+    /// rejects corrupted snapshots.
     pub fn set_build_probe(&mut self, probe: Option<BuildProbe>) {
         self.probe = probe;
     }
 
-    /// One panic-isolated build + cross-check attempt. Returns the
-    /// built snapshot and whether the delta builder produced it.
-    ///
-    /// The fallback ladder: attempt 0 (with [`ChurnConfig::delta_enabled`])
-    /// tries a delta patch of the published snapshot first. A
-    /// **structural refusal** ([`crate::delta::DeltaUnsupported`]) runs
-    /// the from-scratch builder immediately, in the same attempt — no
-    /// backoff is owed for a configuration deltas were never going to
-    /// handle. A **hard delta failure** (panic, rejected configuration,
-    /// cross-check mismatch) fails the attempt like any build failure:
-    /// backoff, then retry — and every later attempt is a full build.
-    /// Either way the reason lands in [`ChurnHealth::last_delta_fallback`].
-    fn attempt(
+    /// Runs one rung of the commit ladder: consults the probe once,
+    /// picks the rung's fault set, and hands its builder to the shared
+    /// panic-isolated, cross-checked [`build_and_check`] step.
+    fn build_stage(
         &mut self,
-        attempt: u32,
-        full_rebuild: bool,
+        stage: BuildStage,
         target_seq: u64,
-    ) -> Result<(OracleSnapshot<C>, bool), BuildFailure> {
-        let try_delta = attempt == 0 && !full_rebuild && self.config.delta_enabled;
-        let ctx = BuildContext { attempt, full_rebuild, delta: try_delta, target_seq };
-        let fault = self.probe.as_mut().map_or(BuildFault::None, |p| p(&ctx));
-
-        let faults: FaultSet = if full_rebuild {
+    ) -> Result<OracleSnapshot<C>, RungError> {
+        let ctx = BuildContext { stage, target_seq };
+        let injected = self.probe.as_mut().map_or(BuildFault::None, |p| p(&ctx));
+        let faults = if stage == BuildStage::JournalRebuild {
+            self.full_rebuilds += 1;
             // From scratch: trust nothing but the journal — the
             // compacted prefix's fold plus the in-memory tail.
             let mut st = self.base_state.clone();
@@ -1083,31 +1040,21 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         } else {
             self.state.faults().clone()
         };
-
-        if try_delta {
-            let prev = self.oracle.snapshot();
-            match delta_build_and_check(
-                &prev,
-                &self.scheme,
-                faults.clone(),
-                target_seq,
-                fault,
-                &self.config,
-            ) {
-                Ok(snapshot) => return Ok((snapshot, true)),
-                Err(DeltaAttemptError::Unsupported(u)) => {
-                    self.delta_fallbacks += 1;
-                    self.last_delta_fallback = Some(format!("delta unsupported: {u}"));
-                }
-                Err(DeltaAttemptError::Failed(failure)) => {
-                    self.delta_fallbacks += 1;
-                    self.last_delta_fallback = Some(failure.to_string());
-                    return Err(failure);
+        build_and_check(injected, &self.config, target_seq, || match stage {
+            BuildStage::Delta => {
+                match DeltaBuilder::new(&self.oracle.snapshot()).version(target_seq).build(&faults)
+                {
+                    Ok((snapshot, _stats)) => Ok(snapshot),
+                    Err(DeltaError::Unsupported(u)) => Err(RungError::Declined(u)),
+                    Err(DeltaError::Build(e)) => Err(BuildFailure::Rejected(e).into()),
                 }
             }
-        }
-
-        build_and_check(&self.scheme, faults, target_seq, fault, &self.config).map(|s| (s, false))
+            BuildStage::Full | BuildStage::JournalRebuild => OracleSnapshot::builder(&self.scheme)
+                .base_faults(faults)
+                .version(target_seq)
+                .try_build()
+                .map_err(|e| BuildFailure::Rejected(e).into()),
+        })
     }
 
     fn publish_built(
@@ -1115,23 +1062,25 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         snapshot: OracleSnapshot<C>,
         target_seq: u64,
         attempts: u32,
-        full_rebuild: bool,
-        delta: bool,
+        stage: BuildStage,
     ) -> CommitReport {
         let epoch = self.oracle.publish(snapshot);
         self.published_seq = target_seq;
         self.consecutive_failures = 0;
         self.last_failure = None;
         self.commits += 1;
+        let delta = stage == BuildStage::Delta;
         if delta {
             self.delta_commits += 1;
         }
-        CommitReport { epoch, seq: target_seq, attempts, full_rebuild, delta, published: true }
-    }
-
-    fn note_failure(&mut self, failure: BuildFailure) {
-        self.consecutive_failures += 1;
-        self.last_failure = Some(failure);
+        CommitReport {
+            epoch,
+            seq: target_seq,
+            attempts,
+            full_rebuild: stage == BuildStage::JournalRebuild,
+            delta,
+            published: true,
+        }
     }
 }
 
@@ -1225,98 +1174,59 @@ pub struct RecoveryReport {
     pub torn_tail_at: Option<usize>,
 }
 
-/// The panic-isolated build-validate-cross-check step shared by
-/// incremental and full-rebuild attempts.
-fn build_and_check<C: PathCost + 'static>(
-    scheme: &ExactScheme<C>,
-    faults: FaultSet,
-    version: u64,
-    injected: BuildFault,
-    config: &ChurnConfig,
-) -> Result<OracleSnapshot<C>, BuildFailure> {
-    // AssertUnwindSafe: the closure only reads `scheme` and constructs
-    // owned data (builder clones the scheme; the batch scratch is local
-    // to the closure), so a panic at any point leaves nothing observable
-    // half-mutated.
-    let result = catch_unwind(AssertUnwindSafe(|| -> Result<OracleSnapshot<C>, BuildFailure> {
-        if injected == BuildFault::Panic {
-            panic!("injected builder panic (target seq {version})");
-        }
-        let mut snapshot = OracleSnapshot::builder(scheme)
-            .base_faults(faults)
-            .version(version)
-            .try_build()
-            .map_err(BuildFailure::Rejected)?;
-        let samples = cross_check_sample(scheme.graph().n(), config, version);
-        if injected == BuildFault::Corrupt {
-            // Corrupt a row the cross-check will visit, so the gate is
-            // exercised, not bypassed.
-            let s = samples.first().copied().unwrap_or(0);
-            snapshot.corrupt_row_for_injection(s);
-        }
-        cross_check(&snapshot, scheme, &samples)?;
-        Ok(snapshot)
-    }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(BuildFailure::Panicked(panic_message(payload.as_ref()))),
-    }
-}
-
-/// How a delta attempt failed: a structural refusal (run the full
-/// builder now, same attempt) vs. a hard failure (fail the attempt,
-/// back off, retry with full builds).
-enum DeltaAttemptError {
-    Unsupported(DeltaUnsupported),
+/// Why one rung produced no snapshot: the delta builder's structural
+/// refusal (no attempt spent, no failure counted) or a real failure.
+enum RungError {
+    Declined(DeltaUnsupported),
     Failed(BuildFailure),
 }
 
-/// The panic-isolated delta-patch + cross-check step: the delta twin of
-/// [`build_and_check`], gated by the **same** sampled batch-engine
-/// cross-check, so a wrong patch can never out-publish a rebuild.
-fn delta_build_and_check<C: PathCost + 'static>(
-    prev: &OracleSnapshot<C>,
-    scheme: &ExactScheme<C>,
-    faults: FaultSet,
-    version: u64,
-    injected: BuildFault,
-    config: &ChurnConfig,
-) -> Result<OracleSnapshot<C>, DeltaAttemptError> {
-    // AssertUnwindSafe: reads `prev`/`scheme`, constructs owned data.
-    let result =
-        catch_unwind(AssertUnwindSafe(|| -> Result<OracleSnapshot<C>, DeltaAttemptError> {
-            if injected == BuildFault::Panic {
-                panic!("injected delta builder panic (target seq {version})");
-            }
-            let mut snapshot = match DeltaBuilder::new(prev).version(version).build(&faults) {
-                Ok((snapshot, _stats)) => snapshot,
-                Err(DeltaError::Unsupported(u)) => return Err(DeltaAttemptError::Unsupported(u)),
-                Err(DeltaError::Build(e)) => {
-                    return Err(DeltaAttemptError::Failed(BuildFailure::Rejected(e)))
-                }
-            };
-            let samples = cross_check_sample(scheme.graph().n(), config, version);
-            if injected == BuildFault::Corrupt {
-                let s = samples.first().copied().unwrap_or(0);
-                snapshot.corrupt_row_for_injection(s);
-            }
-            cross_check(&snapshot, scheme, &samples).map_err(DeltaAttemptError::Failed)?;
-            Ok(snapshot)
-        }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(DeltaAttemptError::Failed(BuildFailure::Panicked(format!(
-            "delta: {}",
-            panic_message(payload.as_ref())
-        )))),
+impl From<BuildFailure> for RungError {
+    fn from(failure: BuildFailure) -> Self {
+        RungError::Failed(failure)
     }
 }
 
-/// The deterministic cross-check source sample for a build targeting
-/// `version`: distinct vertices drawn from a seeded generator, fresh
-/// per version so successive builds audit different rows.
-fn cross_check_sample(n: usize, config: &ChurnConfig, version: u64) -> Vec<Vertex> {
-    let k = config.cross_check_sources.min(n);
+/// The one panic-isolated build step every rung runs: the injected
+/// panic, `build`, the injected corruption, then the sampled
+/// cross-check — so a delta patch passes exactly the gate a rebuild
+/// does and a wrong patch can never out-publish one.
+fn build_and_check<C: PathCost + 'static>(
+    injected: BuildFault,
+    config: &ChurnConfig,
+    version: u64,
+    build: impl FnOnce() -> Result<OracleSnapshot<C>, RungError>,
+) -> Result<OracleSnapshot<C>, RungError> {
+    // AssertUnwindSafe: `build` only reads pipeline state and constructs
+    // owned data, so a panic at any point leaves nothing observable
+    // half-mutated.
+    catch_unwind(AssertUnwindSafe(|| {
+        if injected == BuildFault::Panic {
+            panic!("injected builder panic (target seq {version})");
+        }
+        let mut snapshot = build()?;
+        let samples = cross_check_sample(snapshot.sources(), config, version);
+        if injected == BuildFault::Corrupt {
+            // Corrupt a row the cross-check will visit, so the gate is
+            // exercised, not bypassed.
+            snapshot.corrupt_row_for_injection(samples.first().copied().unwrap_or(0));
+        }
+        match snapshot.audit_rows(&samples).first() {
+            Some(bad) => {
+                Err(BuildFailure::CrossCheckMismatch { source: bad.source, target: bad.first_bad }
+                    .into())
+            }
+            None => Ok(snapshot),
+        }
+    }))
+    .unwrap_or_else(|payload| Err(BuildFailure::Panicked(panic_message(payload.as_ref())).into()))
+}
+
+/// The deterministic cross-check sample for a build targeting
+/// `version`: distinct serving sources drawn from a seeded generator,
+/// fresh per version so successive builds audit different rows.
+fn cross_check_sample(sources: &[Vertex], config: &ChurnConfig, version: u64) -> Vec<Vertex> {
+    let k = config.cross_check_sources.min(sources.len());
     if k == 0 {
         return Vec::new();
     }
@@ -1325,47 +1235,12 @@ fn cross_check_sample(n: usize, config: &ChurnConfig, version: u64) -> Vec<Verte
     );
     let mut picked: Vec<Vertex> = Vec::with_capacity(k);
     while picked.len() < k {
-        let v = rng.random_range(0..n);
+        let v = sources[rng.random_range(0..sources.len())];
         if !picked.contains(&v) {
             picked.push(v);
         }
     }
     picked
-}
-
-/// Compares the snapshot's precomputed rows for `samples` against a
-/// fresh `dijkstra_batch` run on the same base fault state, cell by
-/// cell (hops, parents, exact costs).
-fn cross_check<C: PathCost + 'static>(
-    snapshot: &OracleSnapshot<C>,
-    scheme: &ExactScheme<C>,
-    samples: &[Vertex],
-) -> Result<(), BuildFailure> {
-    if samples.is_empty() {
-        return Ok(());
-    }
-    let g = scheme.graph();
-    let fault_sets = [snapshot.base_faults().clone()];
-    let mut batch = BatchScratch::<C>::new();
-    let mut mismatch = None;
-    dijkstra_batch(g, samples, &fault_sets, scheme.directed_costs(), &mut batch, |si, _fi, run| {
-        let s = samples[si];
-        let row = snapshot.baseline(s).expect("default snapshots serve every vertex");
-        for v in g.vertices() {
-            if row.dist(v) != run.hops(v)
-                || row.parent(v) != run.parent(v)
-                || row.cost(v) != run.cost(v)
-            {
-                mismatch = Some((s, v));
-                return ControlFlow::Break(());
-            }
-        }
-        ControlFlow::Continue(())
-    });
-    match mismatch {
-        Some((source, target)) => Err(BuildFailure::CrossCheckMismatch { source, target }),
-        None => Ok(()),
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.

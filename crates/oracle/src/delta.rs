@@ -90,8 +90,7 @@ use crate::snapshot::{BuildError, OracleSnapshot, TreeRow, NONE};
 
 /// Why a delta build refused a configuration it could not patch
 /// *exactly*. Structural refusals — the churn pipeline answers them by
-/// running the canonical full rebuild in the same attempt, without
-/// burning a retry.
+/// moving on to its full-build rung without counting a failed attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeltaUnsupported {
     /// The predecessor snapshot carries compiled label/preserver

@@ -15,9 +15,9 @@
 //! * [`flaky_builder`] / [`flaky_delta_builder`] — the build-side
 //!   attackers: probes for [`ChurnPipeline::set_build_probe`] that
 //!   panic the snapshot builder (or only its delta patches) or corrupt
-//!   its output for the first N attempts, then heal — exercising retry,
-//!   backoff, cross-check rejection, delta fallback, and full-rebuild
-//!   escalation.
+//!   its output for the first N builds, then heal — exercising every
+//!   rung of the commit ladder: cross-check rejection, delta fallback,
+//!   and the journal-rebuild escalation.
 //! * [`flip_random_bit`] / [`truncate_random`] — durability attackers
 //!   for serialized **journal streams** ([`ChurnPipeline::export_journal`]):
 //!   a seeded single-bit flip the CRC framing must catch, and a seeded
@@ -63,7 +63,7 @@ use rsp_arith::PathCost;
 use rsp_core::Rpts;
 use rsp_graph::{FaultEvent, FaultState, Graph, SearchScratch, Vertex};
 
-use super::{BuildFault, BuildProbe, ChurnPipeline};
+use super::{BuildFault, BuildProbe, BuildStage, ChurnPipeline};
 use crate::serve::Oracle;
 use crate::snapshot::NONE;
 
@@ -279,15 +279,16 @@ impl StreamInjector {
     }
 }
 
-/// A build probe that fails the first `panics + corrupts` attempts it
+/// A build probe that fails the first `panics + corrupts` builds it
 /// sees — `panics` by panicking inside the builder, then `corrupts` by
 /// letting the build succeed and corrupting a cross-checked cell — and
 /// then behaves. Install with [`ChurnPipeline::set_build_probe`].
 ///
-/// With `panics + corrupts` < the retry budget the pipeline recovers
-/// within one commit; with more it escalates to a full rebuild; with
-/// even more the commit stalls and the last good snapshot keeps
-/// serving. The robustness suite pins all three regimes.
+/// The probe is consulted once per rung of the commit ladder
+/// ([`super::BuildStage`]). With deltas on, one failure publishes from
+/// the full rung, two publish from the journal-rebuild rung, and three
+/// or more stall the commit while the last good snapshot keeps serving.
+/// The robustness suite pins all three regimes.
 pub fn flaky_builder(panics: u32, corrupts: u32) -> BuildProbe {
     let mut seen = 0u32;
     Box::new(move |_ctx| {
@@ -302,20 +303,20 @@ pub fn flaky_builder(panics: u32, corrupts: u32) -> BuildProbe {
     })
 }
 
-/// A build probe that attacks only **delta** attempts (those with
-/// [`super::BuildContext::delta`] set): the first `panics` delta
-/// attempts panic inside the patch, the next `corrupts` let the patch
-/// succeed and corrupt a cross-checked cell; full-rebuild attempts are
-/// always left alone. Install with [`ChurnPipeline::set_build_probe`].
+/// A build probe that attacks only the **delta** rung
+/// ([`super::BuildStage::Delta`]): the first `panics` delta builds
+/// panic inside the patch, the next `corrupts` let the patch succeed
+/// and corrupt a cross-checked cell; the from-scratch rungs are always
+/// left alone. Install with [`ChurnPipeline::set_build_probe`].
 ///
 /// This is how the delta suite proves the fallback ladder heals: a
-/// poisoned delta burns attempt 0, and the pipeline publishes via the
-/// untouched from-scratch builder with the reason recorded in
+/// poisoned delta fails its rung, and the pipeline publishes from the
+/// untouched full rung in the same commit with the reason recorded in
 /// [`super::ChurnHealth::last_delta_fallback`].
 pub fn flaky_delta_builder(panics: u32, corrupts: u32) -> BuildProbe {
     let mut seen = 0u32;
     Box::new(move |ctx| {
-        if !ctx.delta {
+        if ctx.stage != BuildStage::Delta {
             return BuildFault::None;
         }
         seen += 1;

@@ -12,10 +12,10 @@
 //!   [`ScrubConfig::rows_per_tick`] source rows of the currently
 //!   published snapshot **cell by cell** (hops, parents, exact costs)
 //!   against a fresh [`rsp_graph::dijkstra_batch`] run on the
-//!   snapshot's own base fault state — the same ground truth the
-//!   commit gate uses, but sweeping *every* row over successive ticks
-//!   (a wrapping cursor; [`ScrubHealth::complete_passes`] counts full
-//!   sweeps).
+//!   snapshot's own base fault state — the same row audit the commit
+//!   gate runs on its sample, but sweeping *every* row over successive
+//!   ticks (a wrapping cursor; [`ScrubHealth::complete_passes`] counts
+//!   full sweeps).
 //! * **Quarantine before repair.** A corrupt row is immediately fenced
 //!   off: the scrubber publishes a clone with the row marked
 //!   quarantined, and [`crate::OracleSnapshot::try_query`] answers that
@@ -72,14 +72,11 @@
 //! assert_eq!(health.corruptions_found, 0);
 //! ```
 
-use std::ops::ControlFlow;
-
 use rsp_arith::PathCost;
-use rsp_core::Rpts;
-use rsp_graph::{dijkstra_batch, BatchScratch, Vertex};
+use rsp_graph::Vertex;
 
 use crate::serve::Oracle;
-use crate::snapshot::{OracleSnapshot, TreeRow, NONE};
+use crate::snapshot::OracleSnapshot;
 
 /// Tuning knobs for a [`Scrubber`].
 #[derive(Clone, Copy, Debug)]
@@ -254,7 +251,7 @@ impl<C: PathCost + 'static> Scrubber<C> {
         }
         self.rows_audited += targets.len() as u64;
 
-        let corrupt = audit_rows(&snap, &targets);
+        let corrupt = snap.audit_rows(&targets);
         let mut tick = ScrubTick {
             rows_audited: targets.len(),
             corrupt_rows: corrupt.len(),
@@ -264,24 +261,24 @@ impl<C: PathCost + 'static> Scrubber<C> {
         if corrupt.is_empty() {
             return tick;
         }
-        let newly_found = corrupt.iter().filter(|(s, _)| !snap.is_quarantined(*s)).count() as u64;
+        let newly_found = corrupt.iter().filter(|c| !snap.is_quarantined(c.source)).count() as u64;
         self.corruptions_found += newly_found;
 
         // Fence first: readers must stop serving the corrupt cells
         // before any repair work runs.
         let mut fenced = (*snap).clone();
-        for (s, _) in &corrupt {
-            fenced.set_row_quarantined(*s, true);
+        for c in &corrupt {
+            fenced.set_row_quarantined(c.source, true);
         }
         self.oracle.publish(fenced.clone());
 
         // Rung 1: targeted repair — splice the truth rows in.
         if !self.sabotaged(ScrubStage::TargetedRepair) {
             let mut healed = fenced.clone();
-            for (s, truth) in corrupt {
-                healed.replace_row(s, truth);
+            for c in corrupt {
+                healed.replace_row(c.source, c.truth);
             }
-            if audit_rows(&healed, &targets).is_empty() {
+            if healed.audit_rows(&targets).is_empty() {
                 self.oracle.publish(healed);
                 self.corruptions_healed += tick.corrupt_rows as u64;
                 tick.healed_rows = tick.corrupt_rows;
@@ -316,57 +313,4 @@ impl<C: PathCost + 'static> Scrubber<C> {
     fn sabotaged(&mut self, stage: ScrubStage) -> bool {
         self.probe.as_mut().is_some_and(|p| p(stage))
     }
-}
-
-/// Compares each target row of `snap` cell-by-cell (hops, parents,
-/// exact costs) against a fresh batch-engine run on the snapshot's own
-/// base fault state, returning the corrupt sources **with their freshly
-/// computed truth rows** (the targeted repair's payload). Quarantine
-/// flags are ignored here — raw cells are what is audited.
-fn audit_rows<C: PathCost + 'static>(
-    snap: &OracleSnapshot<C>,
-    targets: &[Vertex],
-) -> Vec<(Vertex, TreeRow<C>)> {
-    if targets.is_empty() {
-        return Vec::new();
-    }
-    let scheme = snap.scheme();
-    let g = scheme.graph();
-    let fault_sets = [snap.base_faults().clone()];
-    let mut batch = BatchScratch::<C>::new();
-    let mut corrupt: Vec<(Vertex, TreeRow<C>)> = Vec::new();
-    dijkstra_batch(g, targets, &fault_sets, scheme.directed_costs(), &mut batch, |si, _fi, run| {
-        let s = targets[si];
-        let Some(row) = snap.row_of(s).map(|r| snap.row_arc(r)) else {
-            return ControlFlow::Continue(());
-        };
-        let mut mismatch = false;
-        let mut truth: TreeRow<C> = TreeRow::unreached(g.n());
-        for v in g.vertices() {
-            let hops = run.hops(v);
-            let parent = run.parent(v);
-            if let Some(h) = hops {
-                truth.hops[v] = h;
-                if let Some(c) = run.cost(v) {
-                    truth.costs[v].clone_from(c);
-                }
-                if let Some((p, e)) = parent {
-                    truth.parent_vertex[v] = p as u32;
-                    truth.parent_edge[v] = e as u32;
-                }
-            }
-            let cell_hops = (row.hops[v] != NONE).then_some(row.hops[v]);
-            let cell_parent = (row.parent_vertex[v] != NONE)
-                .then(|| (row.parent_vertex[v] as Vertex, row.parent_edge[v] as usize));
-            let cell_cost = cell_hops.is_some().then(|| &row.costs[v]);
-            if cell_hops != hops || cell_parent != parent || cell_cost != run.cost(v) {
-                mismatch = true;
-            }
-        }
-        if mismatch {
-            corrupt.push((s, truth));
-        }
-        ControlFlow::Continue(())
-    });
-    corrupt
 }

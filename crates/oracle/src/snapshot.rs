@@ -21,11 +21,14 @@
 //! property suite in `tests/oracle_properties.rs` pins this.
 
 use std::borrow::Cow;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use rsp_arith::PathCost;
 use rsp_core::{ExactScheme, Rpts};
-use rsp_graph::{EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex};
+use rsp_graph::{
+    dijkstra_batch, BatchScratch, EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex,
+};
 use rsp_labeling::{build_labeling, DistanceLabeling};
 use rsp_preserver::{ft_sv_preserver, Preserver};
 
@@ -751,6 +754,65 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
         }
         false
     }
+
+    /// The one row audit behind the churn commit gate and the scrubber:
+    /// compares each target's row cell by cell (hops, parents, exact
+    /// costs) against a fresh [`dijkstra_batch`] run on the snapshot's
+    /// own base faults and returns every corrupt row, in target order.
+    /// Quarantine flags are ignored — raw cells are what is audited —
+    /// and non-serving targets are skipped. A truth row is built only
+    /// for a row that mismatches, so a clean audit allocates nothing
+    /// beyond the batch run.
+    pub(crate) fn audit_rows(&self, targets: &[Vertex]) -> Vec<CorruptRow<C>> {
+        if targets.is_empty() {
+            return Vec::new();
+        }
+        let g = self.scheme.graph();
+        let fault_sets = [self.base_faults.clone()];
+        let mut batch = BatchScratch::<C>::new();
+        let mut corrupt = Vec::new();
+        let costs = self.scheme.directed_costs();
+        dijkstra_batch(g, targets, &fault_sets, costs, &mut batch, |si, _fi, run| {
+            let source = targets[si];
+            let Some(row) = self.row_of(source).map(|r| &self.rows[r]) else {
+                return ControlFlow::Continue(());
+            };
+            let first_bad = g.vertices().find(|&v| {
+                let hops = (row.hops[v] != NONE).then_some(row.hops[v]);
+                let parent = (row.parent_vertex[v] != NONE)
+                    .then(|| (row.parent_vertex[v] as Vertex, row.parent_edge[v] as EdgeId));
+                let cost = hops.is_some().then(|| &row.costs[v]);
+                hops != run.hops(v) || parent != run.parent(v) || cost != run.cost(v)
+            });
+            if let Some(first_bad) = first_bad {
+                let mut truth = TreeRow::<C>::unreached(g.n());
+                for v in g.vertices() {
+                    let Some(h) = run.hops(v) else { continue };
+                    truth.hops[v] = h;
+                    if let Some(c) = run.cost(v) {
+                        truth.costs[v].clone_from(c);
+                    }
+                    if let Some((p, e)) = run.parent(v) {
+                        truth.parent_vertex[v] = p as u32;
+                        truth.parent_edge[v] = e as u32;
+                    }
+                }
+                corrupt.push(CorruptRow { source, first_bad, truth });
+            }
+            ControlFlow::Continue(())
+        });
+        corrupt
+    }
+}
+
+/// One row [`OracleSnapshot::audit_rows`] found corrupt.
+pub(crate) struct CorruptRow<C> {
+    /// The source whose row disagrees with the engine.
+    pub(crate) source: Vertex,
+    /// The first vertex (in id order) whose cell disagrees.
+    pub(crate) first_bad: Vertex,
+    /// The engine's row for `source`: the targeted repair's payload.
+    pub(crate) truth: TreeRow<C>,
 }
 
 /// How a [`TreeView`] answer was produced.

@@ -9,7 +9,6 @@
 //! serving the last good snapshot whenever it cannot publish a new one.
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
@@ -18,25 +17,14 @@ use rsp_oracle::churn::inject::{
     flaky_builder, random_trace, random_trace_with, verify_converged, verify_published,
     InjectionPlan, StreamInjector, TraceOptions,
 };
-use rsp_oracle::churn::{BuildFailure, ChurnConfig, ChurnPipeline};
+use rsp_oracle::churn::{
+    BuildContext, BuildFailure, BuildFault, BuildStage, ChurnConfig, ChurnPipeline,
+};
 
 type Scheme = rsp_core::ExactScheme<u128>;
 
 fn scheme_for(g: &Graph, wseed: u64) -> Scheme {
     RandomGridAtw::theorem20(g, wseed).into_scheme()
-}
-
-/// A config with instant, recorded backoff — robustness tests assert
-/// the schedule instead of sleeping it.
-fn test_config() -> ChurnConfig {
-    ChurnConfig { backoff_base: Duration::from_millis(5), ..ChurnConfig::default() }
-}
-
-fn recording_sleeper(pipeline: &mut ChurnPipeline<u128>) -> Arc<Mutex<Vec<Duration>>> {
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&log);
-    pipeline.set_sleeper(move |d| sink.lock().unwrap().push(d));
-    log
 }
 
 /// An independent fold of the journal — deliberately *not* via the
@@ -60,8 +48,7 @@ fn independent_fold(g: &Graph, journal: &[FaultEvent]) -> FaultSet {
 fn hostile_wire_stream_converges_to_accepted_state() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-    recording_sleeper(&mut pipeline);
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
     let mut reader = pipeline.reader();
 
     let trace = random_trace(&g, 60, 0xdead_beef);
@@ -98,25 +85,24 @@ fn hostile_wire_stream_converges_to_accepted_state() {
     }
 }
 
-/// Builder panics beyond every retry *and* the full rebuild: the commit
-/// stalls, readers keep answering from the last good snapshot, health
-/// reports the degradation honestly — and the next healthy commit heals.
+/// Builder panics on every rung of the ladder: the commit stalls,
+/// readers keep answering from the last good snapshot, health reports
+/// the degradation honestly — and the next healthy commit heals.
 #[test]
 fn stalled_commit_serves_last_good_snapshot_and_recovers() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-    recording_sleeper(&mut pipeline);
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
     let mut reader = pipeline.reader();
     let healthy_answer = reader.query(0, &FaultSet::empty()).dist(15);
     let epoch_before = pipeline.oracle().epoch();
 
-    // 3 incremental attempts + 1 full rebuild, all panicking.
-    pipeline.set_build_probe(Some(flaky_builder(4, 0)));
+    // Delta, full build and journal rebuild, all panicking.
+    pipeline.set_build_probe(Some(flaky_builder(3, 0)));
     let e = g.edge_between(0, 1).unwrap();
     pipeline.ingest(FaultEvent::Arrive(e)).unwrap();
     let stalled = pipeline.commit().unwrap_err();
-    assert_eq!(stalled.attempts, 4);
+    assert_eq!(stalled.attempts, 3);
     assert!(matches!(stalled.last_failure, BuildFailure::Panicked(_)));
 
     // Degraded serving: same epoch, same answers, staleness exposed.
@@ -126,7 +112,7 @@ fn stalled_commit_serves_last_good_snapshot_and_recovers() {
     let health = pipeline.health();
     assert!(health.degraded);
     assert_eq!(health.pending_events, 1);
-    assert_eq!(health.consecutive_failures, 4);
+    assert_eq!(health.consecutive_failures, 3);
     assert_eq!(health.full_rebuilds, 1);
     assert!(health.last_failure.unwrap().contains("panicked"));
 
@@ -138,40 +124,39 @@ fn stalled_commit_serves_last_good_snapshot_and_recovers() {
     assert_eq!(reader.query(0, &FaultSet::empty()).dist(1), Some(3), "routes around the fault");
 }
 
-/// Exactly the retry budget fails incrementally: the escalation path —
-/// fault state re-derived from the journal, built from scratch —
-/// publishes, and the report says so.
+/// The delta and full rungs both fail: the escalation rung — fault
+/// state re-derived from the journal, built from scratch — publishes,
+/// and the report says so.
 #[test]
 fn full_rebuild_escalation_publishes() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-    recording_sleeper(&mut pipeline);
-    pipeline.set_build_probe(Some(flaky_builder(3, 0)));
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
+    pipeline.set_build_probe(Some(flaky_builder(2, 0)));
     pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
     let report = pipeline.commit().unwrap();
     assert!(report.published);
     assert!(report.full_rebuild);
-    assert_eq!(report.attempts, 4);
+    assert_eq!(report.attempts, 3);
     assert_eq!(pipeline.health().full_rebuilds, 1);
     verify_converged(&pipeline).unwrap();
 }
 
 /// The cross-check gate: a build whose output is corrupted must be
 /// rejected before publication — the mismatching snapshot never reaches
-/// readers, and the retry publishes a correct one.
+/// readers, and the next rung publishes a correct one.
 #[test]
 fn cross_check_rejects_corrupted_snapshot() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-    recording_sleeper(&mut pipeline);
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
     let epoch_before = pipeline.oracle().epoch();
 
     pipeline.set_build_probe(Some(flaky_builder(0, 1)));
     pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
     let report = pipeline.commit().unwrap();
-    assert_eq!(report.attempts, 2, "first build was rejected by the cross-check");
+    assert!(!report.delta && !report.full_rebuild, "the full rung published");
+    assert_eq!(report.attempts, 2, "the delta rung was rejected by the cross-check");
     assert!(report.published);
     // Exactly one publish happened: the corrupt snapshot was discarded,
     // not swapped in and replaced.
@@ -179,35 +164,33 @@ fn cross_check_rejects_corrupted_snapshot() {
     verify_converged(&pipeline).unwrap();
 }
 
-/// The backoff schedule is exponential from `backoff_base` and capped
-/// at `backoff_cap` — asserted through the recording sleeper, not
-/// wall-clock.
+/// The commit ladder, pinned: a probe failing every rung sees each
+/// stage exactly once, in escalation order — no retries, no sleeps —
+/// and the stall's attempt and failure counts equal the rungs that ran.
 #[test]
-fn backoff_schedule_is_exponential_and_capped() {
+fn commit_ladder_runs_each_rung_once() {
     let g = generators::grid(3, 3);
     let scheme = scheme_for(&g, 7);
-    let config = ChurnConfig {
-        retry_budget: 4,
-        backoff_base: Duration::from_millis(10),
-        backoff_cap: Duration::from_millis(35),
-        ..ChurnConfig::default()
-    };
-    let mut pipeline = ChurnPipeline::with_config(&scheme, config).unwrap();
-    let log = recording_sleeper(&mut pipeline);
-
-    pipeline.set_build_probe(Some(flaky_builder(4, 0)));
-    pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
-    pipeline.commit().unwrap();
-    let slept = log.lock().unwrap().clone();
-    assert_eq!(
-        slept,
-        vec![
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-            Duration::from_millis(35), // capped from 40
-            Duration::from_millis(35), // capped from 80
-        ]
-    );
+    for (delta_enabled, expected) in [
+        (true, vec![BuildStage::Delta, BuildStage::Full, BuildStage::JournalRebuild]),
+        (false, vec![BuildStage::Full, BuildStage::JournalRebuild]),
+    ] {
+        let config = ChurnConfig { delta_enabled, ..ChurnConfig::default() };
+        let mut pipeline = ChurnPipeline::with_config(&scheme, config).unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        pipeline.set_build_probe(Some(Box::new(move |ctx: &BuildContext| {
+            sink.lock().unwrap().push(ctx.stage);
+            BuildFault::Panic
+        })));
+        pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
+        let stalled = pipeline.commit().unwrap_err();
+        assert_eq!(*seen.lock().unwrap(), expected, "delta_enabled = {delta_enabled}");
+        assert_eq!(stalled.attempts as usize, expected.len());
+        let health = pipeline.health();
+        assert_eq!(health.consecutive_failures as usize, expected.len());
+        assert_eq!(health.full_rebuilds, 1);
+    }
 }
 
 /// Crash recovery: replaying the journal reconstructs a pipeline whose
@@ -216,8 +199,7 @@ fn backoff_schedule_is_exponential_and_capped() {
 fn journal_replay_is_deterministic() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut original = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-    recording_sleeper(&mut original);
+    let mut original = ChurnPipeline::new(&scheme).unwrap();
     let trace = random_trace(&g, 40, 0x0bad_5eed);
     let mut injector = StreamInjector::new(InjectionPlan::hostile(0x0bad_5eed));
     for frame in injector.perturb(&trace) {
@@ -225,7 +207,8 @@ fn journal_replay_is_deterministic() {
     }
     original.commit().unwrap();
 
-    let recovered = ChurnPipeline::replay(&scheme, original.journal(), test_config()).unwrap();
+    let recovered =
+        ChurnPipeline::replay(&scheme, original.journal(), ChurnConfig::default()).unwrap();
     assert_eq!(recovered.fault_state(), original.fault_state());
     assert_eq!(recovered.health().published_seq, original.health().published_seq);
     assert_eq!(
@@ -251,8 +234,7 @@ fn journal_replay_is_deterministic() {
 fn quarantine_reason_codes() {
     let g = generators::petersen(); // 15 edges
     let scheme = scheme_for(&g, 7);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-    recording_sleeper(&mut pipeline);
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
 
     assert_eq!(pipeline.ingest(FaultEvent::Arrive(3)).unwrap(), 1);
     let dup = pipeline.ingest(FaultEvent::Arrive(3)).unwrap_err();
@@ -289,8 +271,7 @@ fn quarantine_reason_codes() {
 fn same_edge_arrive_repair_arrive_in_one_batch() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-    recording_sleeper(&mut pipeline);
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
 
     let e = g.edge_between(0, 1).unwrap();
     pipeline.ingest(FaultEvent::Arrive(e)).unwrap();
@@ -317,7 +298,7 @@ fn same_edge_arrive_repair_arrive_in_one_batch() {
 fn idle_commit_is_a_noop() {
     let g = generators::grid(3, 3);
     let scheme = scheme_for(&g, 7);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
     let epoch = pipeline.oracle().epoch();
     let report = pipeline.commit().unwrap();
     assert!(!report.published);
@@ -343,8 +324,7 @@ proptest! {
     ) {
         let g = generators::grid(3, 3);
         let scheme = scheme_for(&g, wseed);
-        let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-        recording_sleeper(&mut pipeline);
+        let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
         for frame in &frames {
             let _ = pipeline.ingest_wire(frame);
         }
@@ -372,8 +352,7 @@ proptest! {
         let m = (n - 1 + n / 2).min(n * (n - 1) / 2);
         let g = generators::connected_gnm(n, m, gseed);
         let scheme = scheme_for(&g, wseed);
-        let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-        recording_sleeper(&mut pipeline);
+        let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
         for &(arrive, edge) in &raw {
             let ev = if arrive { FaultEvent::Arrive(edge) } else { FaultEvent::Repair(edge) };
             let _ = pipeline.ingest(ev);
@@ -411,8 +390,7 @@ proptest! {
             prop_assert!(state.len() <= 3, "fault cap violated");
         }
         let scheme = scheme_for(&g, wseed);
-        let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-        recording_sleeper(&mut pipeline);
+        let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
         let mut injector = StreamInjector::new(InjectionPlan::hostile(tseed));
         for frame in injector.perturb(&trace) {
             let _ = pipeline.ingest_wire(&frame);
@@ -437,18 +415,19 @@ proptest! {
     ) {
         let g = generators::grid(3, 3);
         let scheme = scheme_for(&g, wseed);
-        let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-        recording_sleeper(&mut pipeline);
+        let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
         for ev in random_trace(&g, 10, tseed) {
             pipeline.ingest(ev).unwrap();
         }
         pipeline.set_build_probe(Some(flaky_builder(panics, corrupts)));
-        // At most two commit cycles exhaust any probe in range: each
-        // cycle burns retry_budget + 1 = 4 attempts.
-        let first = pipeline.commit();
-        if first.is_err() {
-            pipeline.commit().unwrap();
-        }
+        // Every failed commit consumes at least one injected fault per
+        // rung it ran, so `panics + corrupts + 1` commits always reach a
+        // clean build.
+        let cycles = panics + corrupts + 1;
+        prop_assert!(
+            (0..cycles).any(|_| pipeline.commit().is_ok()),
+            "no commit published within {} cycles", cycles
+        );
         verify_converged(&pipeline).unwrap();
     }
 }
@@ -459,18 +438,16 @@ proptest! {
 fn verifier_detects_corruption() {
     let g = generators::grid(3, 3);
     let scheme = scheme_for(&g, 7);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, test_config()).unwrap();
-    recording_sleeper(&mut pipeline);
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
     // Sneak a corrupt snapshot past the gate by disabling cross-checks.
-    let mut cfg = test_config();
-    cfg.cross_check_sources = 0;
+    let cfg = ChurnConfig { cross_check_sources: 0, ..ChurnConfig::default() };
     let mut unchecked = ChurnPipeline::with_config(&scheme, cfg).unwrap();
-    recording_sleeper(&mut unchecked);
     unchecked.set_build_probe(Some(flaky_builder(0, 1)));
     unchecked.ingest(FaultEvent::Arrive(0)).unwrap();
     unchecked.commit().unwrap();
     assert!(verify_published(&unchecked).is_err(), "corruption must be visible to the verifier");
-    // And the checked pipeline rejects the same corruption (sanity).
+    // And the checked pipeline rejects the same corruption (sanity): the
+    // corrupted delta rung fails, the full rung publishes.
     pipeline.set_build_probe(Some(flaky_builder(0, 1)));
     pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
     let report = pipeline.commit().unwrap();

@@ -34,10 +34,6 @@ fn rebuild_config() -> ChurnConfig {
     ChurnConfig { delta_enabled: false, ..ChurnConfig::default() }
 }
 
-fn silence(pipeline: &mut ChurnPipeline<u128>) {
-    pipeline.set_sleeper(|_| {});
-}
-
 /// Cell-by-cell snapshot equality: every source row, every vertex,
 /// hops + parent pointer + exact cost.
 fn assert_cells_identical(g: &Graph, a: &OracleSnapshot<u128>, b: &OracleSnapshot<u128>) {
@@ -72,7 +68,6 @@ fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
     let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
-    silence(&mut pipeline);
 
     let trace =
         random_trace_with(&g, 12, 0xd1f5_0001, TraceOptions { burst: 0.3, ..Default::default() });
@@ -134,7 +129,6 @@ fn untouched_rows_share_storage_with_predecessor() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
     let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
-    silence(&mut pipeline);
     let prev = pipeline.published_snapshot();
 
     let e = g.edge_between(0, 1).unwrap();
@@ -168,7 +162,6 @@ fn untouched_rows_share_storage_with_predecessor() {
     // A rebuild-only pipeline never shares storage — the predicate has
     // teeth, not just vacuous truth.
     let mut rebuild = ChurnPipeline::with_config(&scheme, rebuild_config()).unwrap();
-    silence(&mut rebuild);
     rebuild.ingest(FaultEvent::Arrive(e)).unwrap();
     let rb_report = rebuild.commit().unwrap();
     assert!(!rb_report.delta);
@@ -186,8 +179,6 @@ fn disconnecting_faults_and_repairs_match_rebuild() {
     let scheme = scheme_for(&g, 7);
     let mut delta = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
     let mut rebuild = ChurnPipeline::with_config(&scheme, rebuild_config()).unwrap();
-    silence(&mut delta);
-    silence(&mut rebuild);
 
     let e0 = g.edge_between(0, 1).unwrap();
     let e4 = g.edge_between(4, 5).unwrap();
@@ -223,7 +214,6 @@ fn soak_1k_events_converges_and_deltas_dominate() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
     let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
-    silence(&mut pipeline);
 
     let trace = random_trace_with(
         &g,
@@ -261,14 +251,13 @@ fn soak_1k_events_converges_and_deltas_dominate() {
     );
 }
 
-/// A panicking delta builder burns attempt 0 and the pipeline heals via
-/// the from-scratch builder in attempt 1 — reason recorded, sticky.
+/// A panicking delta builder fails the delta rung and the pipeline heals
+/// via the from-scratch full rung — reason recorded, sticky.
 #[test]
 fn flaky_delta_panic_heals_via_full_build() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
     let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
-    silence(&mut pipeline);
     pipeline.set_build_probe(Some(flaky_delta_builder(1, 0)));
 
     pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
@@ -302,7 +291,6 @@ fn cross_check_rejects_corrupted_delta() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
     let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
-    silence(&mut pipeline);
     let epoch_before = pipeline.oracle().epoch();
     pipeline.set_build_probe(Some(flaky_delta_builder(0, 1)));
 
@@ -341,8 +329,6 @@ proptest! {
         let scheme = scheme_for(&g, wseed);
         let mut delta = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
         let mut rebuild = ChurnPipeline::with_config(&scheme, rebuild_config()).unwrap();
-        silence(&mut delta);
-        silence(&mut rebuild);
 
         let opts = TraceOptions {
             burst: f64::from(burst_pct) / 100.0,
@@ -384,8 +370,6 @@ proptest! {
         let scheme = scheme_for(&g, wseed);
         let mut delta = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
         let mut rebuild = ChurnPipeline::with_config(&scheme, rebuild_config()).unwrap();
-        silence(&mut delta);
-        silence(&mut rebuild);
 
         let opts = TraceOptions { burst: 0.25, max_faults: Some(3), ..Default::default() };
         for &ev in &random_trace_with(&g, 20, tseed, opts) {
