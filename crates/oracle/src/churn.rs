@@ -375,7 +375,8 @@ pub struct ChurnHealth {
     pub quarantined_total: u64,
     /// Successful publishes since construction (excluding the initial).
     pub commits: u64,
-    /// Full-rebuild escalations attempted since construction.
+    /// Journal-rebuild rungs ([`BuildStage::JournalRebuild`]) attempted
+    /// since construction.
     pub full_rebuilds: u64,
     /// Publishes served by a delta patch of the predecessor snapshot.
     pub delta_commits: u64,
@@ -392,8 +393,8 @@ pub struct ChurnHealth {
 }
 
 /// Which rung of the commit ladder is about to run — the escalation
-/// order of [`ChurnPipeline::commit`], mirroring
-/// [`crate::scrub::ScrubStage`]. Each rung runs at most once per commit.
+/// order of [`ChurnPipeline::commit`]. Each rung runs at most once per
+/// commit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BuildStage {
     /// Patch the published snapshot with the delta builder (only with
@@ -1209,7 +1210,8 @@ fn build_and_check<C: PathCost + 'static>(
         if injected == BuildFault::Corrupt {
             // Corrupt a row the cross-check will visit, so the gate is
             // exercised, not bypassed.
-            snapshot.corrupt_row_for_injection(samples.first().copied().unwrap_or(0));
+            snapshot
+                .corrupt_cell(samples.first().copied().unwrap_or(0), inject::CellCorruption::Hop);
         }
         match snapshot.audit_rows(&samples).first() {
             Some(bad) => {

@@ -96,15 +96,6 @@ pub enum DeltaUnsupported {
     /// The predecessor snapshot carries compiled label/preserver
     /// artifacts, which a row patch cannot keep consistent.
     DerivedArtifacts,
-    /// The predecessor snapshot has rows quarantined by the integrity
-    /// scrubber ([`crate::scrub`]). A patch derives new rows from the
-    /// predecessor's cells, so patching from a row known to be corrupt
-    /// would propagate the corruption; the full rebuild recomputes
-    /// every row from the graph (and lifts all quarantines).
-    QuarantinedRows {
-        /// How many rows were quarantined.
-        rows: usize,
-    },
     /// A genuine cost tie surfaced inside a patched region: the
     /// selected tree is not forced there, so the builder refuses
     /// rather than risk disagreeing with the canonical engine's
@@ -120,9 +111,6 @@ impl std::fmt::Display for DeltaUnsupported {
         match self {
             DeltaUnsupported::DerivedArtifacts => {
                 write!(f, "predecessor carries label/preserver artifacts a patch cannot update")
-            }
-            DeltaUnsupported::QuarantinedRows { rows } => {
-                write!(f, "predecessor has {rows} quarantined rows a patch would propagate")
             }
             DeltaUnsupported::TieDetected { source } => {
                 write!(f, "cost tie inside the patched region of source {source}'s tree")
@@ -221,12 +209,6 @@ impl<'a, C: PathCost + 'static> DeltaBuilder<'a, C> {
         }
         if self.prev.has_derived_artifacts() {
             return Err(DeltaError::Unsupported(DeltaUnsupported::DerivedArtifacts));
-        }
-        let quarantined = self.prev.quarantined_rows();
-        if quarantined > 0 {
-            return Err(DeltaError::Unsupported(DeltaUnsupported::QuarantinedRows {
-                rows: quarantined,
-            }));
         }
 
         let base = self.prev.base_faults();

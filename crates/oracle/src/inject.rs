@@ -25,8 +25,8 @@
 //! * [`corrupt_published_row`] with [`CellCorruption`] — the
 //!   post-publication attacker: flips one cell (hop, parent, or cost)
 //!   of a row the oracle is *currently serving*, the damage only the
-//!   background scrubber ([`crate::scrub`]) can catch. Detection, not
-//!   luck, is what the scrub suite proves.
+//!   background scrubber ([`crate::scrub`]) can catch. The scrub suite
+//!   proves that one tick detects it and heals it with one publish.
 //!
 //! [`verify_published`] closes the loop: whatever was injected, the
 //! snapshot actually serving must agree cell-for-cell with a fresh
@@ -56,8 +56,6 @@
 //! verify_published(&pipeline).unwrap();
 //! ```
 
-use std::sync::Arc;
-
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rsp_arith::PathCost;
 use rsp_core::Rpts;
@@ -65,7 +63,6 @@ use rsp_graph::{FaultEvent, FaultState, Graph, SearchScratch, Vertex};
 
 use super::{BuildFault, BuildProbe, BuildStage, ChurnPipeline};
 use crate::serve::Oracle;
-use crate::snapshot::NONE;
 
 /// Generates a *valid* random churn trace of `len` events: every event
 /// passes validation when the trace is applied in order from a
@@ -409,7 +406,8 @@ pub fn truncate_random(bytes: &mut Vec<u8>, seed: u64) -> usize {
     keep
 }
 
-/// Which cell of a published tree row [`corrupt_published_row`] flips.
+/// Which cell of a tree row [`corrupt_published_row`] (and the
+/// [`BuildFault::Corrupt`] build probe, with `Hop`) flips.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellCorruption {
     /// Bump a reachable non-source vertex's hop count by one.
@@ -435,20 +433,8 @@ pub fn corrupt_published_row<C: PathCost + 'static>(
     s: Vertex,
     kind: CellCorruption,
 ) -> Option<Vertex> {
-    let snap = oracle.snapshot();
-    let row_idx = snap.row_of(s)?;
-    let n = snap.graph().n();
-    let mut corrupted = (*snap).clone();
-    let row = Arc::make_mut(corrupted.row_arc_mut(row_idx));
-    let victim = (0..n).find(|&v| v != s && row.hops[v] != NONE)?;
-    match kind {
-        CellCorruption::Hop => row.hops[victim] += 1,
-        CellCorruption::Parent => {
-            row.parent_vertex[victim] = NONE;
-            row.parent_edge[victim] = NONE;
-        }
-        CellCorruption::Cost => row.costs[victim].set_zero(),
-    }
+    let mut corrupted = (*oracle.snapshot()).clone();
+    let victim = corrupted.corrupt_cell(s, kind)?;
     oracle.publish(corrupted);
     Some(victim)
 }

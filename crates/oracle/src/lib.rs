@@ -57,9 +57,8 @@
 //! [`churn::ChurnPipeline::recover`] restarts from bytes (tolerating a
 //! torn tail, refusing interior corruption with a typed error), and the
 //! background [`scrub::Scrubber`] continuously re-verifies published
-//! rows cell-by-cell against the exact engine — quarantining corrupt
-//! rows (served correctly through the engine fallback) and healing them
-//! through a targeted-repair → full-rebuild ladder
+//! rows cell-by-cell against the exact engine, splicing each corrupt
+//! row's truth row into one copy-on-write clone and publishing it once
 //! ([`scrub::ScrubHealth`]).
 //!
 //! See the "Serving layer", "Churn pipeline & degraded modes", and
@@ -67,8 +66,8 @@
 //! `docs/ARCHITECTURE.md` for the control/data-plane diagram, the
 //! snapshot lifecycle (build → publish → retire), the event-ingestion
 //! state machine, the journal frame format and checkpoint lifecycle,
-//! the quarantine/repair ladder, and guidance on `Oracle` vs the raw
-//! engines.
+//! the scrubber's audit-and-heal tick, and guidance on `Oracle` vs the
+//! raw engines.
 //!
 //! ## Paper cross-reference
 //!

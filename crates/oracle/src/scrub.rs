@@ -1,6 +1,6 @@
 //! The background integrity scrubber: continuous cell-level audit of
-//! the *published* snapshot, with quarantine, targeted repair, and
-//! full-rebuild escalation.
+//! the *published* snapshot, healing every corrupt row it finds in one
+//! copy-on-write splice and one publish.
 //!
 //! The churn pipeline's commit-time cross-check samples a handful of
 //! sources per build — a corruption that slips past the sample (or
@@ -16,43 +16,35 @@
 //!   gate runs on its sample, but sweeping *every* row over successive
 //!   ticks (a wrapping cursor; [`ScrubHealth::complete_passes`] counts
 //!   full sweeps).
-//! * **Quarantine before repair.** A corrupt row is immediately fenced
-//!   off: the scrubber publishes a clone with the row marked
-//!   quarantined, and [`crate::OracleSnapshot::try_query`] answers that
-//!   source through the engine fallback — recomputed from the graph,
-//!   so *correct* — until the row is healed. Detection is never
-//!   silent and never a panic.
-//! * **Repair ladder.** Quarantined rows are then healed: a **targeted
-//!   repair** splices the freshly computed truth row back in
-//!   (copy-on-write — untouched rows stay shared) and re-verifies it;
-//!   if that is sabotaged or fails, the scrubber **escalates to a full
-//!   rebuild** from the scheme; if even that fails, the quarantined
-//!   snapshot stays published — degraded (slow path for that source)
-//!   but correct, and retried next tick.
+//! * **Heal in the same tick.** The audit already yields each corrupt
+//!   row's truth row. Theorem 20 tiebreaking selects exactly one path
+//!   per `(s, t)` pair, so that truth row is the *only* correct row and
+//!   splicing it in cannot fail: the tick splices every truth row into
+//!   one clone of the published snapshot (copy-on-write — untouched
+//!   rows stay shared, label/preserver artifacts are kept) and
+//!   publishes it once. Every corruption found is healed in the tick
+//!   that finds it, so a published snapshot never carries a
+//!   known-corrupt row and a later delta commit patches from clean
+//!   rows.
 //! * **Health reporting.** [`ScrubHealth`] exposes rows audited,
-//!   corruptions found and healed, escalations, current quarantine
-//!   count, and completed passes — staleness and damage are surfaced,
-//!   never hidden, mirroring [`crate::churn::ChurnHealth`].
+//!   corruptions found (and so healed), and completed passes — damage
+//!   is surfaced, never hidden, mirroring [`crate::churn::ChurnHealth`].
 //!
-//! The scrubber is a *writer*: it publishes quarantine and repair
-//! epochs through the same [`Oracle`] handle the control plane uses.
-//! Run it on the control-plane thread, interleaving ticks with churn
-//! commits — the workspace-wide single-writer discipline. Readers need
-//! nothing new: quarantine is absorbed by the existing
-//! [`crate::OracleSnapshot::try_query`] fallback seam. A full-rebuild
-//! escalation recompiles from the scheme and therefore drops optional
-//! label/preserver artifacts, exactly like the churn pipeline's own
-//! rebuilds — churn deployments ship artifacts from a separate
-//! fault-free snapshot (see [`crate::SnapshotBuilder::base_faults`]).
+//! The scrubber is a *writer*: it publishes healed epochs through the
+//! same [`Oracle`] handle the control plane uses. Run it on the
+//! control-plane thread, interleaving ticks with churn commits — the
+//! workspace-wide single-writer discipline. Readers need nothing new:
+//! they pick up the healed epoch on their next refresh.
 //!
 //! # Examples
 //!
-//! A clean snapshot audits clean; a corrupted cell is caught, fenced,
-//! and healed:
+//! A clean snapshot audits clean; a corrupted cell is caught and healed
+//! in one tick and one publish:
 //!
 //! ```
 //! use rsp_core::RandomGridAtw;
 //! use rsp_graph::generators;
+//! use rsp_oracle::churn::inject::{corrupt_published_row, CellCorruption};
 //! use rsp_oracle::scrub::{ScrubConfig, Scrubber};
 //! use rsp_oracle::Oracle;
 //!
@@ -70,13 +62,23 @@
 //! assert_eq!(health.rows_audited, 16);
 //! assert_eq!(health.complete_passes, 1);
 //! assert_eq!(health.corruptions_found, 0);
+//!
+//! // Damage a cell of source 1's published row (the cursor is back at
+//! // row 0, so the next tick audits rows 0..4).
+//! corrupt_published_row(&oracle, 1, CellCorruption::Hop).unwrap();
+//! let epoch = oracle.epoch();
+//! let tick = scrubber.tick();
+//! assert_eq!(tick.corrupt_rows, 1, "the damaged row is caught");
+//! assert_eq!(oracle.epoch(), epoch + 1, "healed with one publish");
+//! // The next full pass, row 1 included, audits clean.
+//! for _ in 0..4 {
+//!     assert_eq!(scrubber.tick().corrupt_rows, 0, "the heal stuck");
+//! }
 //! ```
 
 use rsp_arith::PathCost;
-use rsp_graph::Vertex;
 
 use crate::serve::Oracle;
-use crate::snapshot::OracleSnapshot;
 
 /// Tuning knobs for a [`Scrubber`].
 #[derive(Clone, Copy, Debug)]
@@ -94,43 +96,15 @@ impl Default for ScrubConfig {
     }
 }
 
-/// Which rung of the repair ladder the scrubber is about to run —
-/// the argument of a [`ScrubProbe`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScrubStage {
-    /// Splice the freshly computed truth rows into a clone of the
-    /// published snapshot (copy-on-write; untouched rows stay shared).
-    TargetedRepair,
-    /// Recompile the whole snapshot from the scheme — the escalation
-    /// when targeted repair fails.
-    FullRebuild,
-}
-
-/// A deterministic saboteur for the repair ladder, installed with
-/// [`Scrubber::set_probe`]: return `true` to make that stage fail
-/// (the stage is skipped, as if its output had not verified). This is
-/// how the robustness suite proves each rung — targeted repair, the
-/// full-rebuild escalation, and the degraded-but-correct terminal
-/// state — independently, instead of only ever exercising the first.
-pub type ScrubProbe = Box<dyn FnMut(ScrubStage) -> bool + Send>;
-
 /// Aggregate scrubber telemetry — the integrity counterpart of
 /// [`crate::churn::ChurnHealth`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScrubHealth {
     /// Total rows audited cell-by-cell across all ticks.
     pub rows_audited: u64,
-    /// Corrupt rows detected (each counted once per detection, not per
-    /// retry of an already-quarantined row).
+    /// Corrupt rows detected. Each is healed in the tick that finds it,
+    /// so this is also the number of rows healed.
     pub corruptions_found: u64,
-    /// Corrupt rows healed (by targeted repair or rebuild escalation).
-    pub corruptions_healed: u64,
-    /// Times the ladder escalated to a full rebuild.
-    pub escalations: u64,
-    /// Rows quarantined in the currently published snapshot: nonzero
-    /// only while detected corruption awaits a successful heal (those
-    /// sources serve through the engine fallback — slow but correct).
-    pub quarantined_now: usize,
     /// Complete sweeps of every serving source finished so far.
     pub complete_passes: u64,
 }
@@ -138,31 +112,23 @@ pub struct ScrubHealth {
 /// What one [`Scrubber::tick`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScrubTick {
-    /// Rows audited this tick (cursor budget plus quarantine retries).
+    /// Rows audited this tick (the cursor's budget).
     pub rows_audited: usize,
-    /// Rows found corrupt this tick (newly detected or still-corrupt
-    /// quarantined rows being retried).
+    /// Rows found corrupt — and healed — this tick.
     pub corrupt_rows: usize,
-    /// Corrupt rows healed this tick.
-    pub healed_rows: usize,
-    /// `true` iff the ladder escalated to a full rebuild this tick.
-    pub escalated: bool,
     /// `true` iff this tick completed a full sweep of the sources.
     pub completed_pass: bool,
 }
 
 /// The background integrity auditor — see the [module docs](self) for
-/// the audit/quarantine/repair contract and the single-writer rule.
+/// the audit-and-heal contract and the single-writer rule.
 pub struct Scrubber<C: PathCost> {
     oracle: Oracle<C>,
     config: ScrubConfig,
     /// Next row index to audit (wraps over the snapshot's sources).
     cursor: usize,
-    probe: Option<ScrubProbe>,
     rows_audited: u64,
     corruptions_found: u64,
-    corruptions_healed: u64,
-    escalations: u64,
     complete_passes: u64,
 }
 
@@ -173,7 +139,6 @@ impl<C: PathCost> std::fmt::Debug for Scrubber<C> {
             .field("cursor", &self.cursor)
             .field("rows_audited", &self.rows_audited)
             .field("corruptions_found", &self.corruptions_found)
-            .field("corruptions_healed", &self.corruptions_healed)
             .finish_non_exhaustive()
     }
 }
@@ -188,43 +153,29 @@ impl<C: PathCost + 'static> Scrubber<C> {
             oracle,
             config,
             cursor: 0,
-            probe: None,
             rows_audited: 0,
             corruptions_found: 0,
-            corruptions_healed: 0,
-            escalations: 0,
             complete_passes: 0,
         }
     }
 
-    /// Installs (or clears) the repair-ladder saboteur — test
-    /// instrumentation, see [`ScrubProbe`].
-    pub fn set_probe(&mut self, probe: Option<ScrubProbe>) {
-        self.probe = probe;
-    }
-
-    /// Aggregate telemetry; `quarantined_now` is read from the
-    /// currently published snapshot.
+    /// Aggregate telemetry.
     pub fn health(&self) -> ScrubHealth {
         ScrubHealth {
             rows_audited: self.rows_audited,
             corruptions_found: self.corruptions_found,
-            corruptions_healed: self.corruptions_healed,
-            escalations: self.escalations,
-            quarantined_now: self.oracle.snapshot().quarantined_rows(),
             complete_passes: self.complete_passes,
         }
     }
 
     /// One audit step: re-verify the next [`ScrubConfig::rows_per_tick`]
-    /// rows of the published snapshot (plus any rows still quarantined
-    /// from earlier ticks) cell-by-cell against the exact batch engine,
-    /// quarantine what disagrees, and run the repair ladder. Returns
-    /// what happened; cumulative counters via [`Scrubber::health`].
+    /// rows of the published snapshot cell-by-cell against the exact
+    /// batch engine and heal every row that disagrees. Returns what
+    /// happened; cumulative counters via [`Scrubber::health`].
     ///
     /// Cheap when clean: one `dijkstra_batch` over the audited sources,
-    /// zero publishes. On corruption it publishes at most twice (the
-    /// quarantine epoch, then the healed epoch).
+    /// zero publishes. On corruption it splices every truth row into
+    /// one copy-on-write clone and publishes exactly once.
     pub fn tick(&mut self) -> ScrubTick {
         let snap = self.oracle.snapshot();
         let sources = snap.sources();
@@ -232,85 +183,29 @@ impl<C: PathCost + 'static> Scrubber<C> {
             return ScrubTick { completed_pass: true, ..ScrubTick::default() };
         }
 
-        // Audit set: every still-quarantined row first (heal retries),
-        // then the cursor's budget of fresh rows.
-        let mut targets: Vec<Vertex> =
-            sources.iter().copied().filter(|&s| snap.is_quarantined(s)).collect();
         let budget = self.config.rows_per_tick.max(1).min(sources.len());
         self.cursor %= sources.len();
-        for i in 0..budget {
-            let s = sources[(self.cursor + i) % sources.len()];
-            if !targets.contains(&s) {
-                targets.push(s);
-            }
-        }
+        let targets: Vec<_> =
+            (0..budget).map(|i| sources[(self.cursor + i) % sources.len()]).collect();
         let completed_pass = self.cursor + budget >= sources.len();
         self.cursor = (self.cursor + budget) % sources.len();
         if completed_pass {
             self.complete_passes += 1;
         }
-        self.rows_audited += targets.len() as u64;
+        self.rows_audited += budget as u64;
 
         let corrupt = snap.audit_rows(&targets);
-        let mut tick = ScrubTick {
-            rows_audited: targets.len(),
-            corrupt_rows: corrupt.len(),
-            completed_pass,
-            ..ScrubTick::default()
-        };
+        let tick = ScrubTick { rows_audited: budget, corrupt_rows: corrupt.len(), completed_pass };
         if corrupt.is_empty() {
             return tick;
         }
-        let newly_found = corrupt.iter().filter(|c| !snap.is_quarantined(c.source)).count() as u64;
-        self.corruptions_found += newly_found;
+        self.corruptions_found += corrupt.len() as u64;
 
-        // Fence first: readers must stop serving the corrupt cells
-        // before any repair work runs.
-        let mut fenced = (*snap).clone();
-        for c in &corrupt {
-            fenced.set_row_quarantined(c.source, true);
+        let mut healed = (*snap).clone();
+        for c in corrupt {
+            healed.replace_row(c.source, c.truth);
         }
-        self.oracle.publish(fenced.clone());
-
-        // Rung 1: targeted repair — splice the truth rows in.
-        if !self.sabotaged(ScrubStage::TargetedRepair) {
-            let mut healed = fenced.clone();
-            for c in corrupt {
-                healed.replace_row(c.source, c.truth);
-            }
-            if healed.audit_rows(&targets).is_empty() {
-                self.oracle.publish(healed);
-                self.corruptions_healed += tick.corrupt_rows as u64;
-                tick.healed_rows = tick.corrupt_rows;
-                return tick;
-            }
-        }
-
-        // Rung 2: full rebuild from the scheme (drops optional derived
-        // artifacts, like every from-scratch churn rebuild).
-        tick.escalated = true;
-        self.escalations += 1;
-        if !self.sabotaged(ScrubStage::FullRebuild) {
-            let rebuilt = OracleSnapshot::builder(snap.scheme())
-                .base_faults(snap.base_faults().clone())
-                .version(snap.version())
-                .try_build();
-            if let Ok(rebuilt) = rebuilt {
-                self.oracle.publish(rebuilt);
-                self.corruptions_healed += tick.corrupt_rows as u64;
-                tick.healed_rows = tick.corrupt_rows;
-                return tick;
-            }
-        }
-
-        // Terminal rung: the quarantined snapshot stays published —
-        // those sources answer through the engine fallback (correct,
-        // just slow) and the heal is retried next tick.
+        self.oracle.publish(healed);
         tick
-    }
-
-    /// `true` iff the installed probe sabotages `stage`.
-    fn sabotaged(&mut self, stage: ScrubStage) -> bool {
-        self.probe.as_mut().is_some_and(|p| p(stage))
     }
 }

@@ -32,6 +32,8 @@ use rsp_graph::{
 use rsp_labeling::{build_labeling, DistanceLabeling};
 use rsp_preserver::{ft_sv_preserver, Preserver};
 
+use crate::churn::inject::CellCorruption;
+
 /// Why [`SnapshotBuilder::try_build`] rejected a configuration.
 ///
 /// These are *validation* failures — the fallible twin of the panics
@@ -212,13 +214,6 @@ pub struct OracleSnapshot<C> {
     /// order. Rows are `Arc`'d so delta-derived snapshots share the
     /// storage of untouched rows (copy-on-write — see [`TreeRow`]).
     rows: Vec<Arc<TreeRow<C>>>,
-    /// `quarantined[i]` marks row `i` as failed integrity audit: the
-    /// scrubber ([`crate::scrub`]) found its flat arrays disagreeing
-    /// with the exact engine. Quarantined rows are never served from
-    /// the fast path — [`OracleSnapshot::try_query`] answers them
-    /// through the engine fallback, which recomputes from the graph and
-    /// therefore cannot repeat the corruption.
-    quarantined: Vec<bool>,
     labels: Option<DistanceLabeling>,
     preserver: Option<Preserver>,
 }
@@ -403,7 +398,6 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
         let labels = self.label_faults.map(|f| build_labeling(&scheme, f));
         let preserver = self.preserver_faults.map(|f| ft_sv_preserver(&scheme, &sources, f));
 
-        let quarantined = vec![false; sources.len()];
         Ok(OracleSnapshot {
             scheme,
             version: self.version,
@@ -411,7 +405,6 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
             sources,
             source_row,
             rows,
-            quarantined,
             labels,
             preserver,
         })
@@ -492,44 +485,13 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
         (row != NONE).then_some(row as usize)
     }
 
-    /// `true` iff `s`'s tree row is quarantined: the integrity scrubber
-    /// ([`crate::scrub`]) caught its flat arrays disagreeing with the
-    /// exact engine and fenced it off. Quarantined rows still answer
-    /// *correctly* — [`OracleSnapshot::try_query`] routes them through
-    /// the engine fallback — they just lose the zero-traversal fast
-    /// path until repaired. Always `false` for non-serving sources.
-    pub fn is_quarantined(&self, s: Vertex) -> bool {
-        self.row_of(s).is_some_and(|row| self.quarantined[row])
-    }
-
-    /// How many tree rows are currently quarantined (see
-    /// [`OracleSnapshot::is_quarantined`]). Zero for freshly built
-    /// snapshots; nonzero only while the scrubber has detected
-    /// corruption it has not yet healed.
-    pub fn quarantined_rows(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| q).count()
-    }
-
-    /// Marks / unmarks `s`'s row as quarantined (scrubber seam).
+    /// Replaces `s`'s tree row with a freshly recomputed one (the
+    /// scrubber's heal splice); every other row keeps its storage.
     /// Returns `false` if `s` has no row.
-    pub(crate) fn set_row_quarantined(&mut self, s: Vertex, quarantined: bool) -> bool {
-        match self.row_of(s) {
-            Some(row) => {
-                self.quarantined[row] = quarantined;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Replaces `s`'s tree row with a freshly recomputed one and lifts
-    /// its quarantine (scrubber repair seam). Returns `false` if `s`
-    /// has no row.
     pub(crate) fn replace_row(&mut self, s: Vertex, row: TreeRow<C>) -> bool {
         match self.row_of(s) {
             Some(i) => {
                 self.rows[i] = Arc::new(row);
-                self.quarantined[i] = false;
                 true
             }
             None => false,
@@ -610,9 +572,8 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// `s` in `G \ (base_faults ∪ F)`, as a borrowed [`TreeView`].
     ///
     /// **Fast path** (no traversal, no allocation): if `s` is a serving
-    /// source, its row is not quarantined by the integrity scrubber
-    /// ([`OracleSnapshot::is_quarantined`]), and no fault edge lies on
-    /// its canonical tree, the precomputed tree *is* the answer — removing non-tree edges
+    /// source and no fault edge lies on its canonical tree, the
+    /// precomputed tree *is* the answer — removing non-tree edges
     /// changes no selected shortest path (the unique minimum-cost paths
     /// survive and nothing cheaper appears). **Engine path** otherwise:
     /// an exact search in `G* \ (base ∪ F)` inside `scratch`,
@@ -694,7 +655,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
             return Err(QueryError::FaultOutOfRange { edge, m: g.m() });
         }
         if let Some(row) = self.row_of(s) {
-            if !self.quarantined[row] && !self.faults_touch_row(row, faults) {
+            if !self.faults_touch_row(row, faults) {
                 return Ok(TreeView { inner: ViewInner::Baseline { snap: self, row, source: s } });
             }
         }
@@ -736,31 +697,35 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
         }
     }
 
-    /// Fault-injection seam: deliberately corrupts one reachable
-    /// non-source cell of `s`'s tree row (hop count bumped by 1), so a
-    /// downstream cross-check against the batch engine MUST reject this
-    /// snapshot. Returns `false` if `s` has no row or no corruptible
-    /// cell. Only the churn pipeline's injection probe calls this —
-    /// it is how the test harness proves the cross-check gate works.
-    pub(crate) fn corrupt_row_for_injection(&mut self, s: Vertex) -> bool {
-        let Some(row) = self.row_of(s) else { return false };
+    /// Fault-injection seam: deliberately flips one cell of the first
+    /// reachable non-source vertex in `s`'s tree row (copy-on-write),
+    /// so a row audit against the batch engine MUST flag the row.
+    /// Returns the damaged vertex, or `None` if `s` has no row or no
+    /// corruptible cell. The churn pipeline's injection probe and
+    /// [`crate::churn::inject::corrupt_published_row`] call this — it is
+    /// how the test harness proves the cross-check gate and the
+    /// scrubber work.
+    pub(crate) fn corrupt_cell(&mut self, s: Vertex, kind: CellCorruption) -> Option<Vertex> {
+        let row = self.row_of(s)?;
         let n = self.scheme.graph().n();
         let r = Arc::make_mut(&mut self.rows[row]);
-        for v in 0..n {
-            if v != s && r.hops[v] != NONE {
-                r.hops[v] += 1;
-                return true;
+        let victim = (0..n).find(|&v| v != s && r.hops[v] != NONE)?;
+        match kind {
+            CellCorruption::Hop => r.hops[victim] += 1,
+            CellCorruption::Parent => {
+                r.parent_vertex[victim] = NONE;
+                r.parent_edge[victim] = NONE;
             }
+            CellCorruption::Cost => r.costs[victim].set_zero(),
         }
-        false
+        Some(victim)
     }
 
     /// The one row audit behind the churn commit gate and the scrubber:
     /// compares each target's row cell by cell (hops, parents, exact
     /// costs) against a fresh [`dijkstra_batch`] run on the snapshot's
     /// own base faults and returns every corrupt row, in target order.
-    /// Quarantine flags are ignored — raw cells are what is audited —
-    /// and non-serving targets are skipped. A truth row is built only
+    /// Non-serving targets are skipped. A truth row is built only
     /// for a row that mismatches, so a clean audit allocates nothing
     /// beyond the batch run.
     pub(crate) fn audit_rows(&self, targets: &[Vertex]) -> Vec<CorruptRow<C>> {

@@ -1,20 +1,18 @@
 //! Scrubber integrity: post-publication corruption is detected by
-//! audit (not luck), quarantined rows serve correct answers through the
-//! engine fallback, and the repair ladder heals — targeted repair
-//! first, full-rebuild escalation second, degraded-but-correct serving
-//! as the terminal state.
+//! audit (not luck) and healed in the tick that finds it — every truth
+//! row spliced into one copy-on-write clone, published once.
 //!
-//! The contract under test (ISSUE 9, tentpole layer 2): a cell flipped
-//! in a *published* snapshot row — damage the commit-time cross-check
-//! can no longer see — is never served silently and never a panic.
+//! The contract under test: a cell flipped in a *published* snapshot
+//! row — damage the commit-time cross-check can no longer see — is
+//! never served past the scrubber's next tick over that row, and never
+//! a panic.
 
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
 use rsp_graph::{generators, FaultSet, Graph, SearchScratch};
 use rsp_oracle::churn::inject::{corrupt_published_row, verify_converged, CellCorruption};
 use rsp_oracle::churn::{ChurnConfig, ChurnPipeline};
-use rsp_oracle::delta::{DeltaBuilder, DeltaError, DeltaUnsupported};
-use rsp_oracle::scrub::{ScrubConfig, ScrubStage, Scrubber};
+use rsp_oracle::scrub::{ScrubConfig, Scrubber};
 use rsp_oracle::Oracle;
 
 type Scheme = rsp_core::ExactScheme<u128>;
@@ -50,8 +48,8 @@ fn assert_source_correct(oracle: &Oracle<u128>, scheme: &Scheme, s: usize) {
 // ---------------------------------------------------------------------
 
 /// Every corruption kind — hop, parent, cost — is detected by a full
-/// audit sweep, quarantined, and healed by targeted repair; afterwards
-/// the snapshot is clean and the answers are engine-identical.
+/// audit sweep and healed in the same tick; afterwards the snapshot is
+/// clean and the answers are engine-identical.
 #[test]
 fn every_corruption_kind_is_detected_and_healed() {
     for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
@@ -68,16 +66,12 @@ fn every_corruption_kind_is_detected_and_healed() {
         let tick = scrubber.tick();
         assert_eq!(tick.rows_audited, g.n(), "{kind:?}");
         assert_eq!(tick.corrupt_rows, 1, "{kind:?}: the damaged row is found");
-        assert_eq!(tick.healed_rows, 1, "{kind:?}: targeted repair heals it");
-        assert!(!tick.escalated, "{kind:?}: no rebuild needed");
         assert!(tick.completed_pass, "{kind:?}");
 
         let health = scrubber.health();
         assert_eq!(health.corruptions_found, 1, "{kind:?}");
-        assert_eq!(health.corruptions_healed, 1, "{kind:?}");
-        assert_eq!(health.quarantined_now, 0, "{kind:?}: quarantine lifted");
-        // Corruption publish + quarantine publish + heal publish.
-        assert_eq!(oracle.epoch(), epoch_before + 3, "{kind:?}");
+        // Corruption publish + heal publish.
+        assert_eq!(oracle.epoch(), epoch_before + 2, "{kind:?}");
 
         assert_source_correct(&oracle, &scheme, 5);
         // A second sweep confirms the heal stuck.
@@ -86,8 +80,38 @@ fn every_corruption_kind_is_detected_and_healed() {
     }
 }
 
-/// Untouched rows keep their storage across quarantine and targeted
-/// repair — the heal is a patch, not a silent rebuild.
+/// Corrupting **every** row, of every kind, still heals in one
+/// full-budget tick with exactly one publish; afterwards a fresh reader
+/// answers every source engine-identically and a second tick audits
+/// clean.
+#[test]
+fn every_corrupt_row_heals_in_one_tick_and_one_publish() {
+    for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
+        let g = generators::grid(4, 4);
+        let scheme = scheme_for(&g, 42);
+        let oracle = Oracle::build(&scheme);
+        for s in g.vertices() {
+            corrupt_published_row(&oracle, s, kind)
+                .unwrap_or_else(|| panic!("{kind:?}: row {s} has no corruptible cell"));
+        }
+        let epoch_before = oracle.epoch();
+
+        let mut scrubber = Scrubber::new(oracle.clone(), full_sweep(g.n()));
+        let tick = scrubber.tick();
+        assert_eq!(tick.rows_audited, g.n(), "{kind:?}");
+        assert_eq!(tick.corrupt_rows, g.n(), "{kind:?}: every row is found and healed");
+        assert_eq!(scrubber.health().corruptions_found, g.n() as u64, "{kind:?}");
+        assert_eq!(oracle.epoch(), epoch_before + 1, "{kind:?}: one publish heals them all");
+
+        for s in g.vertices() {
+            assert_source_correct(&oracle, &scheme, s);
+        }
+        assert_eq!(scrubber.tick().corrupt_rows, 0, "{kind:?}: clean after the heal");
+    }
+}
+
+/// Untouched rows keep their storage across the heal — it is a
+/// splice, not a silent rebuild.
 #[test]
 fn targeted_repair_preserves_untouched_row_storage() {
     let g = generators::grid(4, 4);
@@ -98,7 +122,7 @@ fn targeted_repair_preserves_untouched_row_storage() {
     corrupt_published_row(&oracle, 5, CellCorruption::Hop).unwrap();
     let mut scrubber = Scrubber::new(oracle.clone(), full_sweep(g.n()));
     let tick = scrubber.tick();
-    assert_eq!(tick.healed_rows, 1);
+    assert_eq!(tick.corrupt_rows, 1);
 
     let after = oracle.snapshot();
     for s in g.vertices() {
@@ -111,109 +135,6 @@ fn targeted_repair_preserves_untouched_row_storage() {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// The quarantine fence and the repair ladder
-// ---------------------------------------------------------------------
-
-/// With every repair rung sabotaged, the quarantined snapshot stays
-/// published: the damaged source answers **correctly** through the
-/// engine fallback (slow path), every other source keeps its fast
-/// path, and nothing panics. Degraded, never wrong.
-#[test]
-fn failed_heal_serves_quarantined_rows_correctly_via_fallback() {
-    let g = generators::grid(4, 4);
-    let scheme = scheme_for(&g, 42);
-    let oracle = Oracle::build(&scheme);
-
-    corrupt_published_row(&oracle, 5, CellCorruption::Hop).unwrap();
-    let mut scrubber = Scrubber::new(oracle.clone(), full_sweep(g.n()));
-    scrubber.set_probe(Some(Box::new(|_stage| true))); // sabotage everything
-    let tick = scrubber.tick();
-    assert_eq!(tick.corrupt_rows, 1);
-    assert_eq!(tick.healed_rows, 0);
-    assert!(tick.escalated, "the ladder tried the rebuild rung");
-
-    let snap = oracle.snapshot();
-    assert!(snap.is_quarantined(5), "the damaged row is fenced");
-    assert_eq!(snap.quarantined_rows(), 1);
-    assert_eq!(scrubber.health().quarantined_now, 1);
-
-    // The quarantined source answers through the engine — correct.
-    let mut reader = oracle.reader();
-    let view = reader.query(5, &FaultSet::empty());
-    assert!(!view.from_baseline(), "quarantined rows never serve the flat arrays");
-    assert_source_correct(&oracle, &scheme, 5);
-    // Other sources keep the zero-traversal fast path.
-    let view = reader.query(0, &FaultSet::empty());
-    assert!(view.from_baseline());
-}
-
-/// Sabotaging only the targeted repair escalates to the full rebuild,
-/// which heals (and the escalation is counted).
-#[test]
-fn targeted_repair_failure_escalates_to_full_rebuild() {
-    let g = generators::grid(4, 4);
-    let scheme = scheme_for(&g, 42);
-    let oracle = Oracle::build(&scheme);
-
-    corrupt_published_row(&oracle, 3, CellCorruption::Parent).unwrap();
-    let mut scrubber = Scrubber::new(oracle.clone(), full_sweep(g.n()));
-    scrubber.set_probe(Some(Box::new(|stage| stage == ScrubStage::TargetedRepair)));
-    let tick = scrubber.tick();
-    assert_eq!(tick.corrupt_rows, 1);
-    assert!(tick.escalated);
-    assert_eq!(tick.healed_rows, 1, "the rebuild rung heals");
-
-    let health = scrubber.health();
-    assert_eq!(health.escalations, 1);
-    assert_eq!(health.quarantined_now, 0);
-    assert_source_correct(&oracle, &scheme, 3);
-}
-
-/// A heal that fails this tick is retried next tick — quarantined rows
-/// are audited first, ahead of the cursor's budget — and succeeds once
-/// the sabotage stops.
-#[test]
-fn failed_heal_is_retried_and_recovers_next_tick() {
-    let g = generators::grid(4, 4);
-    let scheme = scheme_for(&g, 42);
-    let oracle = Oracle::build(&scheme);
-
-    corrupt_published_row(&oracle, 9, CellCorruption::Cost).unwrap();
-    // Tiny budget: the cursor alone would take 8 ticks to reach row 9,
-    // but quarantine retries jump the queue.
-    let mut scrubber = Scrubber::new(oracle.clone(), ScrubConfig { rows_per_tick: 2 });
-    let mut sabotage_left = 2; // both rungs of tick N fail
-    scrubber.set_probe(Some(Box::new(move |_stage| {
-        if sabotage_left > 0 {
-            sabotage_left -= 1;
-            true
-        } else {
-            false
-        }
-    })));
-
-    // Tick until the corruption is first detected (cursor sweep).
-    let mut detected_tick = None;
-    for i in 0..8 {
-        let tick = scrubber.tick();
-        if tick.corrupt_rows > 0 {
-            detected_tick = Some((i, tick));
-            break;
-        }
-    }
-    let (_, tick) = detected_tick.expect("the sweep must reach the damaged row");
-    assert_eq!(tick.healed_rows, 0, "the sabotaged ladder fails this tick");
-    assert_eq!(oracle.snapshot().quarantined_rows(), 1);
-
-    // Next tick: the quarantined row is retried first and heals.
-    let tick = scrubber.tick();
-    assert_eq!(tick.corrupt_rows, 1, "the still-corrupt row is re-audited");
-    assert_eq!(tick.healed_rows, 1, "the un-sabotaged ladder heals");
-    assert_eq!(oracle.snapshot().quarantined_rows(), 0);
-    assert_source_correct(&oracle, &scheme, 9);
 }
 
 /// Pass accounting: a budget of 3 over 16 sources completes a sweep on
@@ -238,69 +159,35 @@ fn scrub_passes_cover_every_source() {
 // Interaction with the delta builder and the churn pipeline
 // ---------------------------------------------------------------------
 
-/// A delta patch refuses a quarantined predecessor — patching from
-/// known-corrupt rows would propagate the corruption — with a typed
-/// refusal the churn pipeline answers by full rebuild.
-#[test]
-fn delta_refuses_quarantined_predecessor() {
-    let g = generators::grid(4, 4);
-    let scheme = scheme_for(&g, 42);
-    let oracle = Oracle::build(&scheme);
-
-    corrupt_published_row(&oracle, 5, CellCorruption::Hop).unwrap();
-    let mut scrubber = Scrubber::new(oracle.clone(), full_sweep(g.n()));
-    scrubber.set_probe(Some(Box::new(|_| true))); // leave it quarantined
-    scrubber.tick();
-    let quarantined = oracle.snapshot();
-    assert_eq!(quarantined.quarantined_rows(), 1);
-
-    let err = DeltaBuilder::new(&quarantined).build(&FaultSet::single(0)).unwrap_err();
-    assert_eq!(
-        err,
-        DeltaError::Unsupported(DeltaUnsupported::QuarantinedRows { rows: 1 }),
-        "the refusal is typed and names the damage"
-    );
-}
-
 /// End-to-end with the churn pipeline: corruption strikes the published
-/// snapshot, the scrubber quarantines it (heal sabotaged), and the next
-/// churn commit falls back from delta to a full rebuild — which clears
-/// the quarantine and converges. The fallback reason is recorded.
+/// snapshot after a commit, one scrub tick heals it, and the next churn
+/// commit delta-patches the healed snapshot — no fallback, no rebuild —
+/// and converges.
 #[test]
-fn churn_commit_after_quarantine_rebuilds_and_clears() {
+fn churn_delta_commit_after_heal_patches_clean_rows() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
     let mut pipeline = ChurnPipeline::with_config(&scheme, ChurnConfig::default()).unwrap();
     pipeline.ingest(rsp_graph::FaultEvent::Arrive(0)).unwrap();
     pipeline.commit().unwrap();
-    assert!(pipeline.health().delta_commits >= 1 || pipeline.health().commits >= 1);
 
-    // Post-publication damage + a failed heal: quarantine stays up.
+    // Post-publication damage, healed by one tick.
     corrupt_published_row(pipeline.oracle(), 5, CellCorruption::Hop).unwrap();
     let mut scrubber = Scrubber::new(pipeline.oracle().clone(), full_sweep(g.n()));
-    scrubber.set_probe(Some(Box::new(|_| true)));
-    scrubber.tick();
-    assert_eq!(pipeline.published_snapshot().quarantined_rows(), 1);
+    assert_eq!(scrubber.tick().corrupt_rows, 1);
 
-    // The next commit cannot delta-patch the fenced snapshot: it falls
-    // back to the full rebuild, which recomputes every row and lifts
-    // the quarantine.
+    // The next commit patches the healed snapshot.
+    let before = pipeline.health();
     pipeline.ingest(rsp_graph::FaultEvent::Arrive(5)).unwrap();
     pipeline.commit().unwrap();
-    let snap = pipeline.published_snapshot();
-    assert_eq!(snap.quarantined_rows(), 0, "the rebuild clears the fence");
-    let health = pipeline.health();
-    assert!(
-        health.last_delta_fallback.as_deref().is_some_and(|r| r.contains("quarantined")),
-        "the fallback reason names the quarantine: {:?}",
-        health.last_delta_fallback
-    );
+    let after = pipeline.health();
+    assert!(after.delta_commits > before.delta_commits, "the commit takes the delta rung");
+    assert_eq!(after.full_rebuilds, before.full_rebuilds);
+    assert_eq!(after.delta_fallbacks, before.delta_fallbacks);
     verify_converged(&pipeline).unwrap();
 
-    // And a clean scrub pass confirms the rebuilt snapshot.
-    let mut scrubber = Scrubber::new(pipeline.oracle().clone(), full_sweep(g.n()));
-    let tick = scrubber.tick();
-    assert_eq!(tick.corrupt_rows, 0);
+    // And a clean scrub pass confirms the patched snapshot.
+    assert_eq!(scrubber.tick().corrupt_rows, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -323,6 +210,7 @@ proptest! {
         let g = generators::grid(3, 3);
         let scheme = scheme_for(&g, wseed);
         let oracle = Oracle::build(&scheme);
+        let epoch_before = oracle.epoch();
 
         let victim = corrupt_published_row(&oracle, source, kind);
         prop_assert!(victim.is_some(), "a grid row always has a corruptible cell");
@@ -330,8 +218,8 @@ proptest! {
         let mut scrubber = Scrubber::new(oracle.clone(), full_sweep(g.n()));
         let tick = scrubber.tick();
         prop_assert_eq!(tick.corrupt_rows, 1);
-        prop_assert_eq!(tick.healed_rows, 1);
-        prop_assert_eq!(oracle.snapshot().quarantined_rows(), 0);
+        // Corruption publish + heal publish.
+        prop_assert_eq!(oracle.epoch(), epoch_before + 2);
         assert_source_correct(&oracle, &scheme, source);
         let tick = scrubber.tick();
         prop_assert_eq!(tick.corrupt_rows, 0, "clean after the heal");
