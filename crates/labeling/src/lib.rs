@@ -18,9 +18,9 @@
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
 //! workspace architecture: the crate layering, the three-level query
 //! engine (scratch -> batch/checkpoint -> pool/frontier), the preserver
-//! enumeration pipeline, and the serving layer (its "Serving layer"
-//! chapter — `rsp_oracle` snapshots can carry a [`DistanceLabeling`]
-//! as a shippable artifact for off-box consumers).
+//! enumeration pipeline, and the serving layer. Labels are built and
+//! shipped from this crate directly; `rsp_oracle` snapshots hold tree
+//! rows only.
 //!
 //! # Paper cross-reference
 //!

@@ -93,9 +93,6 @@ use crate::snapshot::{BuildError, OracleSnapshot, TreeRow, NONE};
 /// moving on to its full-build rung without counting a failed attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeltaUnsupported {
-    /// The predecessor snapshot carries compiled label/preserver
-    /// artifacts, which a row patch cannot keep consistent.
-    DerivedArtifacts,
     /// A genuine cost tie surfaced inside a patched region: the
     /// selected tree is not forced there, so the builder refuses
     /// rather than risk disagreeing with the canonical engine's
@@ -109,9 +106,6 @@ pub enum DeltaUnsupported {
 impl std::fmt::Display for DeltaUnsupported {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DeltaUnsupported::DerivedArtifacts => {
-                write!(f, "predecessor carries label/preserver artifacts a patch cannot update")
-            }
             DeltaUnsupported::TieDetected { source } => {
                 write!(f, "cost tie inside the patched region of source {source}'s tree")
             }
@@ -207,9 +201,6 @@ impl<'a, C: PathCost + 'static> DeltaBuilder<'a, C> {
         if let Some(edge) = target.iter().find(|&e| e >= g.m()) {
             return Err(DeltaError::Build(BuildError::BaseFaultOutOfRange { edge, m: g.m() }));
         }
-        if self.prev.has_derived_artifacts() {
-            return Err(DeltaError::Unsupported(DeltaUnsupported::DerivedArtifacts));
-        }
 
         let base = self.prev.base_faults();
         let arrivals: Vec<EdgeId> = target.iter().filter(|&e| !base.contains(e)).collect();
@@ -219,7 +210,7 @@ impl<'a, C: PathCost + 'static> DeltaBuilder<'a, C> {
         let mut snap = self.prev.clone();
         snap.set_version(self.version);
 
-        let sources: Vec<Vertex> = self.prev.sources().to_vec();
+        let sources = self.prev.sources();
         let mut patcher = Patcher::new(g, self.prev.scheme().directed_costs());
         let mut cur = base.clone();
 
@@ -254,13 +245,6 @@ impl<'a, C: PathCost + 'static> DeltaBuilder<'a, C> {
         }
         Ok((snap, stats))
     }
-}
-
-/// `v`'s parent in a tree row, in the `(vertex, edge)` form the cut
-/// helpers consume.
-fn row_parent<C>(r: &TreeRow<C>, v: Vertex) -> Option<(Vertex, EdgeId)> {
-    let p = r.parent_vertex[v];
-    (p != NONE).then(|| (p as Vertex, r.parent_edge[v] as EdgeId))
 }
 
 /// Reusable per-build state for the localized patch waves: the lazy
@@ -306,11 +290,11 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
         // Arc clone detaches the borrow from `snap` and is dropped
         // before `make_mut`, so an already-unshared row is not cloned.
         let r = Arc::clone(snap.row_arc(row_idx));
-        let Some(child) = tree_edge_child(g, e, |v| row_parent(&r, v)) else {
+        let Some(child) = tree_edge_child(g, e, |v| r.parent(g, v)) else {
             return Ok(());
         };
         let mut detached = std::mem::take(&mut self.detached);
-        self.subtree.collect_subtree(g, child, |v| row_parent(&r, v), &mut detached);
+        self.subtree.collect_subtree(g, child, |v| r.parent(g, v), &mut detached);
         drop(r);
 
         // Write phase: clear the detached cells, seed every cut-crossing
@@ -425,7 +409,6 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
             }
         }
         row.costs[to] = cand;
-        row.parent_vertex[to] = from as u32;
         row.parent_edge[to] = e as u32;
         row.hops[to] = row.hops[from] + 1;
         self.stats.cells_recomputed += 1;

@@ -1,21 +1,20 @@
 //! # `rsp_oracle` — the lock-free routing-oracle serving layer
 //!
 //! Every other crate in this workspace is a *compiler*: it turns a graph
-//! into tiebreaking schemes ([`rsp_core`]), preservers
-//! ([`rsp_preserver`]), or fault labels ([`rsp_labeling`]). This crate
-//! is the *server*: it freezes those outputs into an immutable
-//! [`OracleSnapshot`] and answers `(s, t, F)` queries from any number of
-//! threads with **zero locks and zero allocation on the hot path**,
-//! while a control-plane writer publishes new snapshot epochs under
-//! load without ever blocking a reader.
+//! into tiebreaking schemes ([`rsp_core`]), preservers (`rsp_preserver`),
+//! or fault labels (`rsp_labeling`). This crate is the *server*: it
+//! freezes a scheme's selected trees — tree rows only, nothing else —
+//! into an immutable [`OracleSnapshot`] and answers `(s, t, F)` queries
+//! from any number of threads with **zero locks and zero allocation on
+//! the hot path**, while a control-plane writer publishes new snapshot
+//! epochs under load without ever blocking a reader.
 //!
 //! The design is the classic router split (RIB/FIB):
 //!
 //! * **Control plane** — [`SnapshotBuilder`] compiles a
-//!   [`rsp_core::ExactScheme`] (plus optional Theorem 26 preserver and
-//!   Theorem 30 fault labels) into flat struct-of-arrays canonical
-//!   trees. Expensive, allocating, single-threaded — and entirely off
-//!   the read path.
+//!   [`rsp_core::ExactScheme`] into flat struct-of-arrays canonical
+//!   trees (parent edge, hop count and cost per cell). Expensive,
+//!   allocating, single-threaded — and entirely off the read path.
 //! * **Publication** — [`Oracle::publish`] swaps the current snapshot
 //!   `Arc` and bumps an epoch counter; in-flight readers keep the old
 //!   epoch alive until they next refresh, then it drops.
@@ -75,8 +74,8 @@
 //! |---|---|
 //! | Canonical tree rows in [`OracleSnapshot`] | the scheme's selected SPTs `π(s, ·)` |
 //! | Fast path "faults miss the tree" | restoration: surviving selected paths stay selected |
-//! | [`SnapshotBuilder::preserver`] | Theorem 26 `S × V` preserver |
-//! | [`SnapshotBuilder::fault_labels`] | Theorem 30 distance labeling |
+//! | not in snapshots; built by the `rsp_preserver` crate | Theorem 26 `S × V` preserver |
+//! | not in snapshots; built by the `rsp_labeling` crate | Theorem 30 distance labeling |
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -21,11 +21,10 @@
 //!   per `(s, t)` pair, so that truth row is the *only* correct row and
 //!   splicing it in cannot fail: the tick splices every truth row into
 //!   one clone of the published snapshot (copy-on-write — untouched
-//!   rows stay shared, label/preserver artifacts are kept) and
-//!   publishes it once. Every corruption found is healed in the tick
-//!   that finds it, so a published snapshot never carries a
-//!   known-corrupt row and a later delta commit patches from clean
-//!   rows.
+//!   rows stay shared) and publishes it once. Every corruption found
+//!   is healed in the tick that finds it, so a published snapshot never
+//!   carries a known-corrupt row and a later delta commit patches from
+//!   clean rows.
 //! * **Health reporting.** [`ScrubHealth`] exposes rows audited,
 //!   corruptions found (and so healed), and completed passes — damage
 //!   is surfaced, never hidden, mirroring [`crate::churn::ChurnHealth`].

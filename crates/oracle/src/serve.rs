@@ -111,8 +111,8 @@ impl<C: PathCost + 'static> Oracle<C> {
         }
     }
 
-    /// Compiles a default snapshot (every vertex a serving source, no
-    /// optional artifacts) from `scheme` and serves it — the one-liner
+    /// Compiles a default snapshot (every vertex a serving source, tree
+    /// rows only) from `scheme` and serves it — the one-liner
     /// for "give me a serving oracle for this network".
     ///
     /// # Examples

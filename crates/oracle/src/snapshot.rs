@@ -6,12 +6,14 @@
 //! * the graph and the scheme's per-direction exact costs (owned, so a
 //!   snapshot is self-contained and `'static`);
 //! * one **canonical fault-free tree per serving source**, stored
-//!   struct-of-arrays (`u32` parent vertex / parent edge / hop count,
-//!   plus the exact path cost) — the restoration lemma's "paths you
-//!   already stored";
-//! * optionally, the Theorem 30 **fault labels** and the Theorem 26
-//!   **`S × V` preserver edge set**, the two shippable artifacts a
-//!   deployment distributes to off-box consumers.
+//!   struct-of-arrays (`u32` parent edge / hop count, plus the exact
+//!   path cost) — the restoration lemma's "paths you already stored".
+//!   The parent vertex is derived, not stored: graphs are simple, so it
+//!   is the parent edge's other endpoint.
+//!
+//! Snapshots hold tree rows only. The paper's other shippable artifacts
+//! (Theorem 26 preservers, Theorem 30 fault labels) are separate
+//! constructions in `rsp_preserver` and `rsp_labeling`.
 //!
 //! Queries go through [`OracleSnapshot::query`]: a fault set that misses
 //! the source's canonical tree is answered straight from the flat arrays
@@ -29,8 +31,6 @@ use rsp_core::{ExactScheme, Rpts};
 use rsp_graph::{
     dijkstra_batch, BatchScratch, EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex,
 };
-use rsp_labeling::{build_labeling, DistanceLabeling};
-use rsp_preserver::{ft_sv_preserver, Preserver};
 
 use crate::churn::inject::CellCorruption;
 
@@ -136,12 +136,13 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// [`OracleSnapshot::shares_row_storage`] exposes the sharing for
 /// tests, so "delta commit" can be asserted to mean "patched", never
 /// "silently rebuilt".
+///
+/// A cell is three values: parent edge, hop count and cost. The parent
+/// vertex is derived from the parent edge ([`TreeRow::parent`]).
 #[derive(Clone, Debug)]
 pub(crate) struct TreeRow<C> {
-    /// Parent vertex in the selected tree, [`NONE`] for the source and
-    /// unreachable vertices.
-    pub(crate) parent_vertex: Vec<u32>,
-    /// Edge id to the parent, [`NONE`] alongside `parent_vertex`.
+    /// Edge id to the parent in the selected tree, [`NONE`] for the
+    /// source and unreachable vertices.
     pub(crate) parent_edge: Vec<u32>,
     /// Hop count from the source, [`NONE`] when unreachable.
     pub(crate) hops: Vec<u32>,
@@ -155,17 +156,41 @@ impl<C: PathCost> TreeRow<C> {
     pub(crate) fn unreached(n: usize) -> Self {
         let mut costs = Vec::new();
         costs.resize_with(n, C::zero);
-        TreeRow {
-            parent_vertex: vec![NONE; n],
-            parent_edge: vec![NONE; n],
-            hops: vec![NONE; n],
-            costs,
+        TreeRow { parent_edge: vec![NONE; n], hops: vec![NONE; n], costs }
+    }
+
+    /// The row a finished search describes, cell for cell: the build's
+    /// canonical trees and the audit's truth rows both come from here.
+    pub(crate) fn from_search(g: &Graph, run: &SearchScratch<C>) -> Self {
+        let mut row = Self::unreached(g.n());
+        for v in g.vertices() {
+            let Some(h) = run.hops(v) else { continue };
+            row.hops[v] = h;
+            if let Some(c) = run.cost(v) {
+                row.costs[v].clone_from(c);
+            }
+            if let Some((_, e)) = run.parent(v) {
+                row.parent_edge[v] = e as u32;
+            }
         }
+        row
+    }
+
+    /// `v`'s parent as `(vertex, edge id)`, or `None` for the source,
+    /// unreachable vertices and out-of-range `v`. The vertex is the
+    /// parent edge's other endpoint (graphs are simple); this never
+    /// panics, so readers can pass untrusted targets.
+    pub(crate) fn parent(&self, g: &Graph, v: Vertex) -> Option<(Vertex, EdgeId)> {
+        let e = *self.parent_edge.get(v)?;
+        if e == NONE {
+            return None;
+        }
+        let (a, b) = g.endpoints(e as EdgeId);
+        Some((if a == v { b } else { a }, e as EdgeId))
     }
 
     /// Resets one cell to the unreached state, keeping cost storage.
     pub(crate) fn clear_cell(&mut self, v: Vertex) {
-        self.parent_vertex[v] = NONE;
         self.parent_edge[v] = NONE;
         self.hops[v] = NONE;
         self.costs[v].set_zero();
@@ -214,37 +239,27 @@ pub struct OracleSnapshot<C> {
     /// order. Rows are `Arc`'d so delta-derived snapshots share the
     /// storage of untouched rows (copy-on-write — see [`TreeRow`]).
     rows: Vec<Arc<TreeRow<C>>>,
-    labels: Option<DistanceLabeling>,
-    preserver: Option<Preserver>,
 }
 
 /// Configures and compiles an [`OracleSnapshot`] — the control-plane
 /// side of the serving layer.
 ///
-/// Obtained from [`OracleSnapshot::builder`]. Building is where all the
-/// cost lives (one exact SPT per serving source, plus the optional
-/// label/preserver constructions); it allocates freely and runs on the
-/// publisher's thread, never on a reader's.
+/// Obtained from [`OracleSnapshot::builder`]. Three settings: the
+/// serving sources, the baked-in base faults and the version tag.
+/// Building is where all the cost lives (one exact SPT per serving
+/// source, stored as tree rows only); it allocates freely and runs on
+/// the publisher's thread, never on a reader's.
 #[derive(Debug)]
 pub struct SnapshotBuilder<'a, C> {
     scheme: &'a ExactScheme<C>,
     sources: Option<Vec<Vertex>>,
     base_faults: FaultSet,
-    label_faults: Option<usize>,
-    preserver_faults: Option<usize>,
     version: u64,
 }
 
 impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
     fn new(scheme: &'a ExactScheme<C>) -> Self {
-        SnapshotBuilder {
-            scheme,
-            sources: None,
-            base_faults: FaultSet::empty(),
-            label_faults: None,
-            preserver_faults: None,
-            version: 0,
-        }
+        SnapshotBuilder { scheme, sources: None, base_faults: FaultSet::empty(), version: 0 }
     }
 
     /// Restricts the precomputed canonical trees to these sources
@@ -258,21 +273,6 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
     /// [`SnapshotBuilder::build`] panics on out-of-range sources.
     pub fn sources(mut self, sources: impl IntoIterator<Item = Vertex>) -> Self {
         self.sources = Some(sources.into_iter().collect());
-        self
-    }
-
-    /// Also compile the Theorem 30 fault labels at fault budget `f`
-    /// (queries on the labels tolerate `f + 1` faults). Expensive:
-    /// one `f`-FT preserver per vertex — strictly a control-plane cost.
-    pub fn fault_labels(mut self, f: usize) -> Self {
-        self.label_faults = Some(f);
-        self
-    }
-
-    /// Also compile the Theorem 26 `S × V` preserver edge set over the
-    /// serving sources at fault budget `f`.
-    pub fn preserver(mut self, f: usize) -> Self {
-        self.preserver_faults = Some(f);
         self
     }
 
@@ -294,10 +294,8 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
     /// own incremental faults.
     ///
     /// Edges are validated by [`SnapshotBuilder::try_build`]
-    /// ([`BuildError::BaseFaultOutOfRange`]). The optional
-    /// label/preserver artifacts are *not* re-derived under the base
-    /// faults — they remain compiled from the fault-free scheme, so a
-    /// churn deployment ships them from a separate fault-free snapshot.
+    /// ([`BuildError::BaseFaultOutOfRange`]). The snapshot stores tree
+    /// rows only, so every row it holds is computed in `G \ faults`.
     ///
     /// # Examples
     ///
@@ -323,8 +321,8 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
     }
 
     /// Compiles the snapshot: one exact SPT per serving source in
-    /// `G \ base_faults` into the flat arrays, plus the optional
-    /// label/preserver artifacts.
+    /// `G \ base_faults`, stored as a tree row. Nothing else is
+    /// compiled.
     ///
     /// # Panics
     ///
@@ -380,23 +378,8 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
         let mut scratch = SearchScratch::<C>::with_capacity(n);
         for &s in &sources {
             scheme.spt_into(s, &self.base_faults, &mut scratch);
-            let mut row: TreeRow<C> = TreeRow::unreached(n);
-            for v in g.vertices() {
-                let Some(h) = scratch.hops(v) else { continue };
-                row.hops[v] = h;
-                if let Some(c) = scratch.cost(v) {
-                    row.costs[v].clone_from(c);
-                }
-                if let Some((p, e)) = scratch.parent(v) {
-                    row.parent_vertex[v] = p as u32;
-                    row.parent_edge[v] = e as u32;
-                }
-            }
-            rows.push(Arc::new(row));
+            rows.push(Arc::new(TreeRow::from_search(g, &scratch)));
         }
-
-        let labels = self.label_faults.map(|f| build_labeling(&scheme, f));
-        let preserver = self.preserver_faults.map(|f| ft_sv_preserver(&scheme, &sources, f));
 
         Ok(OracleSnapshot {
             scheme,
@@ -405,8 +388,6 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
             sources,
             source_row,
             rows,
-            labels,
-            preserver,
         })
     }
 }
@@ -451,33 +432,6 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// `true` iff `s` has a precomputed canonical tree in this snapshot.
     pub fn serves(&self, s: Vertex) -> bool {
         self.row_of(s).is_some()
-    }
-
-    /// The Theorem 30 fault labels, if compiled
-    /// ([`SnapshotBuilder::fault_labels`]).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rsp_core::RandomGridAtw;
-    /// use rsp_graph::generators;
-    /// use rsp_oracle::OracleSnapshot;
-    ///
-    /// let g = generators::petersen();
-    /// let scheme = RandomGridAtw::theorem20(&g, 7).into_scheme();
-    /// let snap = OracleSnapshot::builder(&scheme).fault_labels(0).build();
-    /// let labels = snap.fault_labels().unwrap();
-    /// // Distance recovered from two labels + the fault description only:
-    /// assert_eq!(labels.query(0, 1, &[(0, 1)]), Some(4));
-    /// ```
-    pub fn fault_labels(&self) -> Option<&DistanceLabeling> {
-        self.labels.as_ref()
-    }
-
-    /// The Theorem 26 `S × V` preserver over the serving sources, if
-    /// compiled ([`SnapshotBuilder::preserver`]).
-    pub fn preserver(&self) -> Option<&Preserver> {
-        self.preserver.as_ref()
     }
 
     pub(crate) fn row_of(&self, s: Vertex) -> Option<usize> {
@@ -552,12 +506,6 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// has already re-derived every affected row for the new set).
     pub(crate) fn set_base_faults(&mut self, faults: FaultSet) {
         self.base_faults = faults;
-    }
-
-    /// `true` iff the snapshot carries compiled label/preserver
-    /// artifacts (which a delta patch cannot keep consistent).
-    pub(crate) fn has_derived_artifacts(&self) -> bool {
-        self.labels.is_some() || self.preserver.is_some()
     }
 
     /// The precomputed fault-free canonical tree rooted at `s`, or
@@ -712,10 +660,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
         let victim = (0..n).find(|&v| v != s && r.hops[v] != NONE)?;
         match kind {
             CellCorruption::Hop => r.hops[victim] += 1,
-            CellCorruption::Parent => {
-                r.parent_vertex[victim] = NONE;
-                r.parent_edge[victim] = NONE;
-            }
+            CellCorruption::Parent => r.parent_edge[victim] = NONE,
             CellCorruption::Cost => r.costs[victim].set_zero(),
         }
         Some(victim)
@@ -744,25 +689,11 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
             };
             let first_bad = g.vertices().find(|&v| {
                 let hops = (row.hops[v] != NONE).then_some(row.hops[v]);
-                let parent = (row.parent_vertex[v] != NONE)
-                    .then(|| (row.parent_vertex[v] as Vertex, row.parent_edge[v] as EdgeId));
                 let cost = hops.is_some().then(|| &row.costs[v]);
-                hops != run.hops(v) || parent != run.parent(v) || cost != run.cost(v)
+                hops != run.hops(v) || row.parent(g, v) != run.parent(v) || cost != run.cost(v)
             });
             if let Some(first_bad) = first_bad {
-                let mut truth = TreeRow::<C>::unreached(g.n());
-                for v in g.vertices() {
-                    let Some(h) = run.hops(v) else { continue };
-                    truth.hops[v] = h;
-                    if let Some(c) = run.cost(v) {
-                        truth.costs[v].clone_from(c);
-                    }
-                    if let Some((p, e)) = run.parent(v) {
-                        truth.parent_vertex[v] = p as u32;
-                        truth.parent_edge[v] = e as u32;
-                    }
-                }
-                corrupt.push(CorruptRow { source, first_bad, truth });
+                corrupt.push(CorruptRow { source, first_bad, truth: TreeRow::from_search(g, run) });
             }
             ControlFlow::Continue(())
         });
@@ -854,11 +785,7 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     /// routing next hop *toward the source* — the MPLS-table view.
     pub fn parent(&self, t: Vertex) -> Option<(Vertex, EdgeId)> {
         match &self.inner {
-            ViewInner::Baseline { snap, row, .. } => {
-                let r = &snap.rows[*row];
-                let p = *r.parent_vertex.get(t)?;
-                (p != NONE).then(|| (p as Vertex, r.parent_edge[t] as EdgeId))
-            }
+            ViewInner::Baseline { snap, row, .. } => snap.rows[*row].parent(snap.graph(), t),
             ViewInner::Searched { scratch } => scratch.parent(t),
         }
     }

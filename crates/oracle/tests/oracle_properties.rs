@@ -252,3 +252,39 @@ fn scaled_costs_keep_trees_and_scale_costs() {
         }
     }
 }
+
+/// Out-of-range targets are a client error, never a panic: both the
+/// baseline view (flat rows) and the engine view (search scratch) answer
+/// "unreached" for any `t ≥ n`, including `usize::MAX`.
+#[test]
+fn hostile_target_ids_never_panic_on_any_view() {
+    let g = generators::grid(4, 4);
+    let scheme = RandomGridAtw::theorem20(&g, 42).into_scheme();
+    let snap = OracleSnapshot::builder(&scheme).build();
+    let mut scratch = SearchScratch::with_capacity(g.n());
+    let n = g.n();
+    let hostile = [n, n + 7, usize::MAX];
+
+    let tree_edge = {
+        let view = snap.query(0, &FaultSet::empty(), &mut scratch);
+        assert!(view.from_baseline());
+        for t in hostile {
+            assert!(!view.reached(t), "baseline t = {t}");
+            assert_eq!(view.dist(t), None, "baseline t = {t}");
+            assert_eq!(view.cost(t), None, "baseline t = {t}");
+            assert_eq!(view.parent(t), None, "baseline t = {t}");
+            assert_eq!(view.path_to(t), None, "baseline t = {t}");
+        }
+        view.parent(n - 1).expect("the far corner has a parent").1
+    };
+
+    let view = snap.query(0, &FaultSet::single(tree_edge), &mut scratch);
+    assert!(!view.from_baseline(), "a fault on the tree takes the engine path");
+    for t in hostile {
+        assert!(!view.reached(t), "engine t = {t}");
+        assert_eq!(view.dist(t), None, "engine t = {t}");
+        assert_eq!(view.cost(t), None, "engine t = {t}");
+        assert_eq!(view.parent(t), None, "engine t = {t}");
+        assert_eq!(view.path_to(t), None, "engine t = {t}");
+    }
+}
