@@ -22,7 +22,8 @@
 //! * **Delta-first commits.** With [`ChurnConfig::delta_enabled`] the
 //!   first build patches the published snapshot through
 //!   [`crate::delta::DeltaBuilder`] — per-epoch work proportional to
-//!   the detached subtree, untouched rows shared copy-on-write — and
+//!   the detached subtree, untouched rows shared, patched rows a short
+//!   cell list over their shared base — and
 //!   still passes the same cross-check gate; any delta refusal or
 //!   failure falls back to the full rebuild with the reason recorded in
 //!   [`ChurnHealth::last_delta_fallback`].

@@ -421,7 +421,10 @@ pub enum CellCorruption {
 /// Corrupts one cell of source `s`'s tree row in the snapshot `oracle`
 /// is **currently serving** — clone, flip, republish — and returns the
 /// vertex whose cell was damaged (`None` if `s` has no row or no
-/// corruptible cell).
+/// corruptible cell). When the row carries a cell list (cells a delta
+/// commit recomputed), the damage goes into a copy of that list;
+/// otherwise into a copy of the row's base. Storage other snapshots
+/// share is never written.
 ///
 /// This models damage that strikes *after* every commit-time gate has
 /// passed (a stray write, bad RAM): readers consume the wrong cell from

@@ -57,7 +57,7 @@
 //! torn tail, refusing interior corruption with a typed error), and the
 //! background [`scrub::Scrubber`] continuously re-verifies published
 //! rows cell-by-cell against the exact engine, splicing each corrupt
-//! row's truth row into one copy-on-write clone and publishing it once
+//! row's truth row into one clone of the snapshot and publishing it once
 //! ([`scrub::ScrubHealth`]).
 //!
 //! See the "Serving layer", "Churn pipeline & degraded modes", and

@@ -1,6 +1,6 @@
 //! The background integrity scrubber: continuous cell-level audit of
 //! the *published* snapshot, healing every corrupt row it finds in one
-//! copy-on-write splice and one publish.
+//! splice and one publish.
 //!
 //! The churn pipeline's commit-time cross-check samples a handful of
 //! sources per build — a corruption that slips past the sample (or
@@ -20,8 +20,10 @@
 //!   row's truth row. Theorem 20 tiebreaking selects exactly one path
 //!   per `(s, t)` pair, so that truth row is the *only* correct row and
 //!   splicing it in cannot fail: the tick splices every truth row into
-//!   one clone of the published snapshot (copy-on-write — untouched
-//!   rows stay shared) and publishes it once. Every corruption found
+//!   one clone of the published snapshot and publishes it once. A
+//!   healed row gets a fresh base and an empty cell list, whether the
+//!   damage sat in its base or in the cells a delta commit listed over
+//!   it; untouched rows keep their base and list. Every corruption found
 //!   is healed in the tick that finds it, so a published snapshot never
 //!   carries a known-corrupt row and a later delta commit patches from
 //!   clean rows.
@@ -174,7 +176,7 @@ impl<C: PathCost + 'static> Scrubber<C> {
     ///
     /// Cheap when clean: one `dijkstra_batch` over the audited sources,
     /// zero publishes. On corruption it splices every truth row into
-    /// one copy-on-write clone and publishes exactly once.
+    /// one clone of the snapshot and publishes exactly once.
     pub fn tick(&mut self) -> ScrubTick {
         let snap = self.oracle.snapshot();
         let sources = snap.sources();

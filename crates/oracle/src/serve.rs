@@ -21,8 +21,16 @@
 //!   compile snapshots entirely outside the lock).
 //! * **Retire** (automatic): a replaced snapshot lives exactly as long
 //!   as the last `Arc` referencing it — when the final in-flight reader
-//!   refreshes, the old epoch's memory drops. The concurrency suite
-//!   pins this with `Weak` handles.
+//!   refreshes, the old epoch's memory drops, on that reader's thread
+//!   and after it has released the publication mutex (the publisher
+//!   likewise frees a replaced snapshot it held last outside the lock).
+//!   What that free costs is what the retired snapshot owns alone: a
+//!   delta commit ([`crate::delta`]) shares every row's base with its
+//!   successor, so a retired delta epoch owns only the short cell lists
+//!   of the rows its successor re-patched, plus the row table (one
+//!   entry per source). Only the rows a commit materialized, or a full
+//!   rebuild, retire whole arrays. The concurrency suite pins the
+//!   lifetime with `Weak` handles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -142,12 +150,18 @@ impl<C: PathCost + 'static> Oracle<C> {
     /// before this call, outside any lock. Readers mid-query keep the
     /// previous epoch's snapshot alive until they next refresh.
     pub fn publish(&self, snapshot: OracleSnapshot<C>) -> u64 {
-        let next = Arc::new(snapshot);
-        let mut slot = self.shared.lock_slot();
-        *slot = next;
-        // Inside the lock: a reader cloning the slot under the lock sees
-        // the epoch that matches the snapshot it cloned.
-        self.shared.epoch.fetch_add(1, Ordering::Release) + 1
+        let mut replaced = Arc::new(snapshot);
+        let epoch = {
+            let mut slot = self.shared.lock_slot();
+            std::mem::swap(&mut *slot, &mut replaced);
+            // Inside the lock: a reader cloning the slot under the lock
+            // sees the epoch that matches the snapshot it cloned.
+            self.shared.epoch.fetch_add(1, Ordering::Release) + 1
+        };
+        // Outside the lock: if this was the last reference, freeing the
+        // replaced snapshot delays no reader's refresh.
+        drop(replaced);
+        epoch
     }
 
     /// The current epoch number (starts at 1, +1 per publish).
@@ -211,11 +225,16 @@ impl<C: PathCost + 'static> OracleReader<C> {
         if self.shared.epoch.load(Ordering::Acquire) == self.epoch {
             return false;
         }
-        let slot = self.shared.lock_slot();
-        self.snapshot = Arc::clone(&slot);
-        // Read the epoch while holding the lock so it matches the clone
-        // (publish bumps it inside its critical section).
-        self.epoch = self.shared.epoch.load(Ordering::Acquire);
+        let retired = {
+            let slot = self.shared.lock_slot();
+            // Read the epoch while holding the lock so it matches the
+            // clone (publish bumps it inside its critical section).
+            self.epoch = self.shared.epoch.load(Ordering::Acquire);
+            std::mem::replace(&mut self.snapshot, Arc::clone(&slot))
+        };
+        // Outside the lock: a reader often holds the retired epoch's
+        // last reference, and its free must not stall the publisher.
+        drop(retired);
         true
     }
 

@@ -5,11 +5,13 @@
 //!
 //! * the graph and the scheme's per-direction exact costs (owned, so a
 //!   snapshot is self-contained and `'static`);
-//! * one **canonical fault-free tree per serving source**, stored
-//!   struct-of-arrays (`u32` parent edge / hop count, plus the exact
-//!   path cost) — the restoration lemma's "paths you already stored".
-//!   The parent vertex is derived, not stored: graphs are simple, so it
-//!   is the parent edge's other endpoint.
+//! * one **canonical fault-free tree per serving source**, stored as a
+//!   shared base of struct-of-arrays cells (`u32` parent edge / hop
+//!   count, plus the exact path cost) — the restoration lemma's "paths
+//!   you already stored" — plus a short, shared, sorted list of the
+//!   cells delta commits replaced since ([`TreeRow`]). The parent
+//!   vertex is derived, not stored: graphs are simple, so it is the
+//!   parent edge's other endpoint.
 //!
 //! Snapshots hold tree rows only. The paper's other shippable artifacts
 //! (Theorem 26 preservers, Theorem 30 fault labels) are separate
@@ -127,61 +129,84 @@ impl std::error::Error for QueryError {}
 /// never collides with a real vertex, edge, or hop count.
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// One interned canonical tree row: the flat per-vertex arrays of a
-/// single source's selected shortest-path tree.
+/// One tree cell, owned: parent edge, hop count and exact cost.
 ///
-/// Rows are stored behind [`Arc`] so snapshots derived from one another
-/// (the delta builder in [`crate::delta`]) share the storage of every
-/// row the change did not touch — copy-on-write via [`Arc::make_mut`].
-/// [`OracleSnapshot::shares_row_storage`] exposes the sharing for
-/// tests, so "delta commit" can be asserted to mean "patched", never
-/// "silently rebuilt".
-///
-/// A cell is three values: parent edge, hop count and cost. The parent
-/// vertex is derived from the parent edge ([`TreeRow::parent`]).
+/// The parent vertex is derived from the parent edge
+/// ([`TreeRow::parent`]).
 #[derive(Clone, Debug)]
-pub(crate) struct TreeRow<C> {
+pub(crate) struct Cell<C> {
     /// Edge id to the parent in the selected tree, [`NONE`] for the
     /// source and unreachable vertices.
-    pub(crate) parent_edge: Vec<u32>,
+    pub(crate) parent_edge: u32,
     /// Hop count from the source, [`NONE`] when unreachable.
-    pub(crate) hops: Vec<u32>,
+    pub(crate) hops: u32,
     /// Exact perturbed path cost; meaningful only where `hops` is not
     /// [`NONE`] (unreachable cells hold `C::zero()`).
-    pub(crate) costs: Vec<C>,
+    pub(crate) cost: C,
 }
 
-impl<C: PathCost> TreeRow<C> {
-    /// A row with every vertex unreached.
-    pub(crate) fn unreached(n: usize) -> Self {
-        let mut costs = Vec::new();
-        costs.resize_with(n, C::zero);
-        TreeRow { parent_edge: vec![NONE; n], hops: vec![NONE; n], costs }
+impl<C: PathCost> Cell<C> {
+    /// The unreached cell.
+    pub(crate) fn unreached() -> Self {
+        Cell { parent_edge: NONE, hops: NONE, cost: C::zero() }
     }
+}
 
-    /// The row a finished search describes, cell for cell: the build's
-    /// canonical trees and the audit's truth rows both come from here.
-    pub(crate) fn from_search(g: &Graph, run: &SearchScratch<C>) -> Self {
-        let mut row = Self::unreached(g.n());
-        for v in g.vertices() {
-            let Some(h) = run.hops(v) else { continue };
-            row.hops[v] = h;
-            if let Some(c) = run.cost(v) {
-                row.costs[v].clone_from(c);
-            }
-            if let Some((_, e)) = run.parent(v) {
-                row.parent_edge[v] = e as u32;
-            }
+/// One tree cell, borrowed where it is stored: in a row's base arrays
+/// (vertex `v` of them) or as an owned [`Cell`] (a listed cell, or a
+/// patcher's overlay). A field is loaded only when read, so a read that
+/// needs the parent edge touches one base array, not three.
+pub(crate) enum CellRef<'a, C> {
+    Base(&'a RowBase<C>, Vertex),
+    Owned(&'a Cell<C>),
+}
+
+impl<C> Clone for CellRef<'_, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<C> Copy for CellRef<'_, C> {}
+
+impl<'a, C: PathCost> CellRef<'a, C> {
+    #[inline]
+    pub(crate) fn parent_edge(self) -> u32 {
+        match self {
+            CellRef::Base(b, v) => b.parent_edge[v],
+            CellRef::Owned(c) => c.parent_edge,
         }
-        row
     }
 
-    /// `v`'s parent as `(vertex, edge id)`, or `None` for the source,
-    /// unreachable vertices and out-of-range `v`. The vertex is the
-    /// parent edge's other endpoint (graphs are simple); this never
-    /// panics, so readers can pass untrusted targets.
-    pub(crate) fn parent(&self, g: &Graph, v: Vertex) -> Option<(Vertex, EdgeId)> {
-        let e = *self.parent_edge.get(v)?;
+    #[inline]
+    pub(crate) fn hops(self) -> u32 {
+        match self {
+            CellRef::Base(b, v) => b.hops[v],
+            CellRef::Owned(c) => c.hops,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn cost(self) -> &'a C {
+        match self {
+            CellRef::Base(b, v) => &b.costs[v],
+            CellRef::Owned(c) => &c.cost,
+        }
+    }
+
+    /// The hop count, or `None` when unreachable.
+    #[inline]
+    pub(crate) fn reached(self) -> Option<u32> {
+        let h = self.hops();
+        (h != NONE).then_some(h)
+    }
+
+    /// The parent of `v` (whose cell this is) as `(vertex, edge id)`, or
+    /// `None` for the source and unreachable vertices. The vertex is the
+    /// parent edge's other endpoint (graphs are simple).
+    #[inline]
+    fn parent(self, g: &Graph, v: Vertex) -> Option<(Vertex, EdgeId)> {
+        let e = self.parent_edge();
         if e == NONE {
             return None;
         }
@@ -189,11 +214,215 @@ impl<C: PathCost> TreeRow<C> {
         Some((if a == v { b } else { a }, e as EdgeId))
     }
 
-    /// Resets one cell to the unreached state, keeping cost storage.
-    pub(crate) fn clear_cell(&mut self, v: Vertex) {
-        self.parent_edge[v] = NONE;
-        self.hops[v] = NONE;
-        self.costs[v].set_zero();
+    /// `true` iff this cell holds exactly `cell`'s values.
+    fn equals(self, cell: &Cell<C>) -> bool {
+        self.parent_edge() == cell.parent_edge
+            && self.hops() == cell.hops
+            && *self.cost() == cell.cost
+    }
+
+    fn to_cell(self) -> Cell<C> {
+        Cell { parent_edge: self.parent_edge(), hops: self.hops(), cost: self.cost().clone() }
+    }
+}
+
+/// A cell of a [`CellList`]: the vertex it replaces plus its values.
+#[derive(Clone, Debug)]
+pub(crate) struct ListCell<C> {
+    pub(crate) v: u32,
+    pub(crate) cell: Cell<C>,
+}
+
+/// An immutable, `Arc`-shared list of replaced cells, sorted by vertex:
+/// the part of a tree row that differs from the row's shared base.
+///
+/// The empty list holds no allocation, so a row no commit has touched
+/// costs one `is_empty` branch per read.
+#[derive(Clone, Debug)]
+pub(crate) struct CellList<C>(Option<Arc<[ListCell<C>]>>);
+
+impl<C: Clone> CellList<C> {
+    const EMPTY: Self = CellList(None);
+
+    fn from_slice(cells: &[ListCell<C>]) -> Self {
+        CellList((!cells.is_empty()).then(|| Arc::from(cells)))
+    }
+
+    #[inline]
+    fn cells(&self) -> &[ListCell<C>] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+
+    /// Where `v`'s replaced cell is, if the list has one.
+    #[inline]
+    fn find(&self, v: Vertex) -> Option<usize> {
+        let cells = self.0.as_deref()?;
+        cells.binary_search_by_key(&(v as u32), |c| c.v).ok()
+    }
+
+    fn ptr_eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+/// The dense arrays of a tree row, struct-of-arrays: one entry per
+/// vertex.
+#[derive(Clone, Debug)]
+pub(crate) struct RowBase<C> {
+    parent_edge: Vec<u32>,
+    hops: Vec<u32>,
+    costs: Vec<C>,
+}
+
+impl<C: PathCost> RowBase<C> {
+    fn set(&mut self, v: Vertex, cell: &Cell<C>) {
+        self.parent_edge[v] = cell.parent_edge;
+        self.hops[v] = cell.hops;
+        self.costs[v].clone_from(&cell.cost);
+    }
+}
+
+/// One canonical tree row: the cells of a single source's selected
+/// shortest-path tree, as a shared base plus a list of replaced cells.
+///
+/// * The **base** is three dense arrays behind an [`Arc`], shared by
+///   every snapshot derived from the one that built it.
+/// * The **cell list** ([`CellList`]) holds the cells a delta commit
+///   ([`crate::delta`]) recomputed since, sorted by vertex. A commit
+///   gives a row it patches a new list over the same base, so a
+///   retired snapshot owns a few short lists rather than whole rows.
+///   A list that grows past a fixed share of `n` is folded into a fresh
+///   base at commit ([`TreeRow::materialize`]).
+///
+/// Every cell read goes through [`TreeRow::cell`]: one `is_empty`
+/// branch, then a binary search of the list, then the base.
+/// [`OracleSnapshot::shares_row_storage`] and
+/// [`OracleSnapshot::shares_row_base`] expose the sharing for tests, so
+/// "delta commit" can be asserted to mean "patched", never "silently
+/// rebuilt".
+#[derive(Clone, Debug)]
+pub(crate) struct TreeRow<C> {
+    base: Arc<RowBase<C>>,
+    list: CellList<C>,
+}
+
+impl<C: PathCost> TreeRow<C> {
+    /// The row a finished search describes, cell for cell, with an empty
+    /// list: the build's canonical trees and the audit's truth rows both
+    /// come from here.
+    pub(crate) fn from_search(g: &Graph, run: &SearchScratch<C>) -> Self {
+        let n = g.n();
+        let mut costs = Vec::new();
+        costs.resize_with(n, C::zero);
+        let mut base = RowBase { parent_edge: vec![NONE; n], hops: vec![NONE; n], costs };
+        for v in g.vertices() {
+            let Some(h) = run.hops(v) else { continue };
+            base.hops[v] = h;
+            if let Some(c) = run.cost(v) {
+                base.costs[v].clone_from(c);
+            }
+            if let Some((_, e)) = run.parent(v) {
+                base.parent_edge[v] = e as u32;
+            }
+        }
+        TreeRow { base: Arc::new(base), list: CellList::EMPTY }
+    }
+
+    /// The row's vertex count. Read off `parent_edge`, so the range
+    /// check in [`TreeRow::cell`] also serves the parent walk's index.
+    #[inline]
+    pub(crate) fn n(&self) -> usize {
+        self.base.parent_edge.len()
+    }
+
+    /// `v`'s cell, or `None` for out-of-range `v` (readers pass
+    /// untrusted targets). The one cell accessor: the list's replaced
+    /// cell if it has one, else the base's.
+    #[inline]
+    pub(crate) fn cell(&self, v: Vertex) -> Option<CellRef<'_, C>> {
+        if v >= self.n() {
+            return None;
+        }
+        Some(match self.list.find(v) {
+            Some(i) => CellRef::Owned(&self.list.cells()[i].cell),
+            None => CellRef::Base(&self.base, v),
+        })
+    }
+
+    /// `v`'s parent as `(vertex, edge id)`, or `None` for the source,
+    /// unreachable vertices and out-of-range `v`; this never panics, so
+    /// readers can pass untrusted targets.
+    #[inline]
+    pub(crate) fn parent(&self, g: &Graph, v: Vertex) -> Option<(Vertex, EdgeId)> {
+        self.cell(v)?.parent(g, v)
+    }
+
+    /// The replaced cells, sorted by vertex.
+    pub(crate) fn list(&self) -> &[ListCell<C>] {
+        self.list.cells()
+    }
+
+    /// `v`'s cell in the base, whatever the list says: for a patcher
+    /// that has loaded the list itself. Panics on out-of-range `v`.
+    pub(crate) fn base_cell(&self, v: Vertex) -> CellRef<'_, C> {
+        CellRef::Base(&self.base, v)
+    }
+
+    /// Replaces the cell list with `cells` (sorted by vertex, distinct),
+    /// leaving out every cell equal to the base's: one new allocation,
+    /// none if nothing differs. `buf` is reusable scratch.
+    pub(crate) fn set_list<'c>(
+        &mut self,
+        cells: impl IntoIterator<Item = (u32, &'c Cell<C>)>,
+        buf: &mut Vec<ListCell<C>>,
+    ) where
+        C: 'c,
+    {
+        buf.clear();
+        for (v, cell) in cells {
+            if !self.base_cell(v as Vertex).equals(cell) {
+                buf.push(ListCell { v, cell: cell.clone() });
+            }
+        }
+        self.list = CellList::from_slice(buf);
+    }
+
+    /// Folds the list into a fresh base and empties it: the commit-time
+    /// step for a list that grew past its share of the row.
+    pub(crate) fn materialize(&mut self) {
+        let mut base = RowBase::clone(&self.base);
+        for c in self.list.cells() {
+            base.set(c.v as Vertex, &c.cell);
+        }
+        *self = TreeRow { base: Arc::new(base), list: CellList::EMPTY };
+    }
+
+    /// Overwrites `v`'s cell where it is stored: in the list if the list
+    /// replaces `v` (a fresh list), else in the base (a fresh base).
+    /// The fault-injection seam behind [`OracleSnapshot::corrupt_cell`].
+    fn overwrite(&mut self, v: Vertex, cell: Cell<C>) {
+        match self.list.find(v) {
+            Some(i) => {
+                let mut cells = self.list.cells().to_vec();
+                cells[i].cell = cell;
+                self.list = CellList::from_slice(&cells);
+            }
+            None => Arc::make_mut(&mut self.base).set(v, &cell),
+        }
+    }
+
+    /// `true` iff both rows are the same base and the same list.
+    pub(crate) fn same_storage(&self, other: &Self) -> bool {
+        self.same_base(other) && self.list.ptr_eq(&other.list)
+    }
+
+    /// `true` iff both rows read the same base allocation.
+    fn same_base(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
     }
 }
 
@@ -235,10 +464,11 @@ pub struct OracleSnapshot<C> {
     sources: Vec<Vertex>,
     /// `source_row[v]` is `v`'s row index, or [`NONE`] if not served.
     source_row: Vec<u32>,
-    /// One interned canonical tree per serving source, in `sources`
-    /// order. Rows are `Arc`'d so delta-derived snapshots share the
-    /// storage of untouched rows (copy-on-write — see [`TreeRow`]).
-    rows: Vec<Arc<TreeRow<C>>>,
+    /// One canonical tree per serving source, in `sources` order. A
+    /// row's base and cell list are `Arc`'d, so delta-derived snapshots
+    /// share the storage of untouched rows and the base of patched ones
+    /// (see [`TreeRow`]).
+    rows: Vec<TreeRow<C>>,
 }
 
 /// Configures and compiles an [`OracleSnapshot`] — the control-plane
@@ -378,7 +608,7 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
         let mut scratch = SearchScratch::<C>::with_capacity(n);
         for &s in &sources {
             scheme.spt_into(s, &self.base_faults, &mut scratch);
-            rows.push(Arc::new(TreeRow::from_search(g, &scratch)));
+            rows.push(TreeRow::from_search(g, &scratch));
         }
 
         Ok(OracleSnapshot {
@@ -445,7 +675,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     pub(crate) fn replace_row(&mut self, s: Vertex, row: TreeRow<C>) -> bool {
         match self.row_of(s) {
             Some(i) => {
-                self.rows[i] = Arc::new(row);
+                self.rows[i] = row;
                 true
             }
             None => false,
@@ -462,38 +692,59 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     fn faults_touch_row(&self, row: usize, faults: &FaultSet) -> bool {
         let g = self.scheme.graph();
         let r = &self.rows[row];
+        let parent_edge_is = |v, e| r.cell(v).is_some_and(|c| c.parent_edge() == e as u32);
         faults.iter().any(|e| {
             e < g.m() && {
                 let (u, v) = g.endpoints(e);
-                r.parent_edge[u] == e as u32 || r.parent_edge[v] == e as u32
+                parent_edge_is(u, e) || parent_edge_is(v, e)
             }
         })
     }
 
     /// `true` iff both snapshots serve `s` **and their tree rows for
-    /// `s` are the same physical allocation** (Arc pointer equality) —
-    /// the copy-on-write sharing the delta builder ([`crate::delta`])
-    /// establishes for rows a change did not touch.
+    /// `s` are the same physical storage**: the same base and the same
+    /// cell list, by `Arc` pointer equality. The delta builder
+    /// ([`crate::delta`]) shares rows a change did not touch this way.
     ///
     /// Independently built snapshots never share rows, even when their
     /// cells are equal; this is a storage predicate, not a value
     /// comparison. The delta test suite uses it to prove "delta commit"
     /// means "patched", not "silently rebuilt".
     pub fn shares_row_storage(&self, other: &OracleSnapshot<C>, s: Vertex) -> bool {
-        match (self.row_of(s), other.row_of(s)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(&self.rows[a], &other.rows[b]),
-            _ => false,
-        }
+        self.row_pair(other, s).is_some_and(|(a, b)| a.same_storage(b))
     }
 
-    /// The interned row at `row` (delta-builder seam).
-    pub(crate) fn row_arc(&self, row: usize) -> &Arc<TreeRow<C>> {
+    /// `true` iff both snapshots serve `s` and their tree rows for `s`
+    /// read the **same base arrays** (`Arc` pointer equality), whatever
+    /// their cell lists. A row a delta commit patched keeps its
+    /// predecessor's base and differs only in its list, unless the list
+    /// outgrew its share of the row and was folded into a fresh base.
+    pub fn shares_row_base(&self, other: &OracleSnapshot<C>, s: Vertex) -> bool {
+        self.row_pair(other, s).is_some_and(|(a, b)| a.same_base(b))
+    }
+
+    /// How many cells of `s`'s tree row its cell list replaces (0 for a
+    /// row no delta commit touched since its base was built), or `None`
+    /// if `s` has no row.
+    pub fn patched_cells(&self, s: Vertex) -> Option<usize> {
+        Some(self.rows[self.row_of(s)?].list().len())
+    }
+
+    fn row_pair<'s>(
+        &'s self,
+        other: &'s OracleSnapshot<C>,
+        s: Vertex,
+    ) -> Option<(&'s TreeRow<C>, &'s TreeRow<C>)> {
+        Some((&self.rows[self.row_of(s)?], &other.rows[other.row_of(s)?]))
+    }
+
+    /// The row at index `row` (delta-builder seam).
+    pub(crate) fn row(&self, row: usize) -> &TreeRow<C> {
         &self.rows[row]
     }
 
-    /// Mutable access to the interned row at `row` (delta-builder
-    /// seam); patch through [`Arc::make_mut`] to keep copy-on-write.
-    pub(crate) fn row_arc_mut(&mut self, row: usize) -> &mut Arc<TreeRow<C>> {
+    /// Mutable access to the row at index `row` (delta-builder seam).
+    pub(crate) fn row_mut(&mut self, row: usize) -> &mut TreeRow<C> {
         &mut self.rows[row]
     }
 
@@ -645,24 +896,31 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
         }
     }
 
-    /// Fault-injection seam: deliberately flips one cell of the first
-    /// reachable non-source vertex in `s`'s tree row (copy-on-write),
-    /// so a row audit against the batch engine MUST flag the row.
-    /// Returns the damaged vertex, or `None` if `s` has no row or no
-    /// corruptible cell. The churn pipeline's injection probe and
+    /// Fault-injection seam: deliberately flips one cell of a reachable
+    /// non-source vertex in `s`'s tree row, so a row audit against the
+    /// batch engine MUST flag the row. The damage goes where the cell is
+    /// stored, never into shared storage: into a fresh copy of the cell
+    /// list when the list replaces a reachable non-source cell (the
+    /// first such), else into a fresh copy of the base at the first
+    /// reachable non-source vertex. Returns the damaged vertex, or
+    /// `None` if `s` has no row or no corruptible cell. The churn
+    /// pipeline's injection probe and
     /// [`crate::churn::inject::corrupt_published_row`] call this — it is
     /// how the test harness proves the cross-check gate and the
     /// scrubber work.
     pub(crate) fn corrupt_cell(&mut self, s: Vertex, kind: CellCorruption) -> Option<Vertex> {
-        let row = self.row_of(s)?;
-        let n = self.scheme.graph().n();
-        let r = Arc::make_mut(&mut self.rows[row]);
-        let victim = (0..n).find(|&v| v != s && r.hops[v] != NONE)?;
+        let i = self.row_of(s)?;
+        let row = &mut self.rows[i];
+        let corruptible = |v: Vertex| v != s && row.cell(v).is_some_and(|c| c.reached().is_some());
+        let victim = (row.list().iter().map(|c| c.v as Vertex).find(|&v| corruptible(v)))
+            .or_else(|| (0..row.n()).find(|&v| corruptible(v)))?;
+        let mut cell = row.cell(victim).expect("victim is in range").to_cell();
         match kind {
-            CellCorruption::Hop => r.hops[victim] += 1,
-            CellCorruption::Parent => r.parent_edge[victim] = NONE,
-            CellCorruption::Cost => r.costs[victim].set_zero(),
+            CellCorruption::Hop => cell.hops += 1,
+            CellCorruption::Parent => cell.parent_edge = NONE,
+            CellCorruption::Cost => cell.cost.set_zero(),
         }
+        row.overwrite(victim, cell);
         Some(victim)
     }
 
@@ -688,9 +946,10 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
                 return ControlFlow::Continue(());
             };
             let first_bad = g.vertices().find(|&v| {
-                let hops = (row.hops[v] != NONE).then_some(row.hops[v]);
-                let cost = hops.is_some().then(|| &row.costs[v]);
-                hops != run.hops(v) || row.parent(g, v) != run.parent(v) || cost != run.cost(v)
+                let c = row.cell(v).expect("a row covers every vertex");
+                let hops = c.reached();
+                let cost = hops.is_some().then(|| c.cost());
+                hops != run.hops(v) || c.parent(g, v) != run.parent(v) || cost != run.cost(v)
             });
             if let Some(first_bad) = first_bad {
                 corrupt.push(CorruptRow { source, first_bad, truth: TreeRow::from_search(g, run) });
@@ -746,10 +1005,11 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     }
 
     /// `true` iff `t` is reachable from the source in `G \ F`.
+    #[inline]
     pub fn reached(&self, t: Vertex) -> bool {
         match &self.inner {
             ViewInner::Baseline { snap, row, .. } => {
-                t < snap.graph().n() && snap.rows[*row].hops[t] != NONE
+                snap.rows[*row].cell(t).is_some_and(|c| c.reached().is_some())
             }
             ViewInner::Searched { scratch } => scratch.reached(t),
         }
@@ -758,23 +1018,21 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     /// Hop count (= unweighted distance `dist_{G\F}(s, t)`, since
     /// selected paths are shortest) of the selected path to `t`, or
     /// `None` if unreachable.
+    #[inline]
     pub fn dist(&self, t: Vertex) -> Option<u32> {
         match &self.inner {
-            ViewInner::Baseline { snap, row, .. } => {
-                let h = *snap.rows[*row].hops.get(t)?;
-                (h != NONE).then_some(h)
-            }
+            ViewInner::Baseline { snap, row, .. } => snap.rows[*row].cell(t)?.reached(),
             ViewInner::Searched { scratch } => scratch.hops(t),
         }
     }
 
     /// Exact perturbed cost of the selected path to `t`, or `None` if
     /// unreachable.
+    #[inline]
     pub fn cost(&self, t: Vertex) -> Option<&C> {
         match &self.inner {
             ViewInner::Baseline { snap, row, .. } => {
-                let r = &snap.rows[*row];
-                (*r.hops.get(t)? != NONE).then(|| &r.costs[t])
+                snap.rows[*row].cell(t).filter(|c| c.reached().is_some()).map(CellRef::cost)
             }
             ViewInner::Searched { scratch } => scratch.cost(t),
         }
@@ -783,6 +1041,7 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     /// Parent of `t` in the selected tree as `(vertex, edge id)`, or
     /// `None` for the source and unreachable vertices. This is the
     /// routing next hop *toward the source* — the MPLS-table view.
+    #[inline]
     pub fn parent(&self, t: Vertex) -> Option<(Vertex, EdgeId)> {
         match &self.inner {
             ViewInner::Baseline { snap, row, .. } => snap.rows[*row].parent(snap.graph(), t),
@@ -794,21 +1053,27 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     ///
     /// Allocates the returned [`Path`] — use the zero-allocation
     /// accessors on the hot path and this for result materialization.
+    /// Never panics: a damaged baseline row whose parent chain from `t`
+    /// breaks, or never reaches the source within `n` steps, answers
+    /// `None`.
     pub fn path_to(&self, t: Vertex) -> Option<Path> {
         match &self.inner {
-            ViewInner::Baseline { source, .. } => {
+            ViewInner::Baseline { snap, source, .. } => {
                 if !self.reached(t) {
                     return None;
                 }
                 let mut verts = vec![t];
                 let mut cur = t;
-                while cur != *source {
-                    let (p, _) = self.parent(cur).expect("reached non-source has a parent");
+                for _ in 0..snap.graph().n() {
+                    if cur == *source {
+                        verts.reverse();
+                        return Some(Path::new(verts));
+                    }
+                    let (p, _) = self.parent(cur)?;
                     verts.push(p);
                     cur = p;
                 }
-                verts.reverse();
-                Some(Path::new(verts))
+                None
             }
             ViewInner::Searched { scratch } => scratch.path_to(t),
         }

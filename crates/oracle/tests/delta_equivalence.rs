@@ -12,12 +12,14 @@
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
 use rsp_graph::{
-    dijkstra_batch_par, generators, tree_edge_child, FaultEvent, FaultSet, FaultState, Graph,
+    dijkstra_batch_par, gen, generators, tree_edge_child, FaultEvent, FaultSet, FaultState, Graph,
+    SubtreeScratch,
 };
 use rsp_oracle::churn::inject::{
     flaky_delta_builder, random_trace_with, verify_converged, TraceOptions,
 };
 use rsp_oracle::churn::{ChurnConfig, ChurnPipeline};
+use rsp_oracle::delta::{DeltaBuilder, DeltaError, MATERIALIZE_SHARE};
 use rsp_oracle::OracleSnapshot;
 
 type Scheme = rsp_core::ExactScheme<u128>;
@@ -121,7 +123,7 @@ fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
     verify_converged(&pipeline).unwrap();
 }
 
-/// Copy-on-write row interning: after a single-fault delta commit, every
+/// Row sharing: after a single-fault delta commit, every
 /// source row whose tree did not use the failed edge is **pointer**-shared
 /// with the predecessor snapshot, and at least one row is freshly built.
 #[test]
@@ -168,6 +170,104 @@ fn untouched_rows_share_storage_with_predecessor() {
     let rb_snap = rebuild.published_snapshot();
     assert!(g.vertices().all(|s| !rb_snap.shares_row_storage(&prev, s)));
     assert_cells_identical(&g, &snap, &rb_snap);
+}
+
+/// Cells, not rows: one arrival on a fresh snapshot gives every row
+/// whose tree used the failed edge a cell list over the predecessor's
+/// **own base** — one cell per detached vertex, since each one's cost
+/// strictly rises or it becomes unreachable — and folds exactly the
+/// lists longer than `n / MATERIALIZE_SHARE` into fresh bases.
+#[test]
+fn single_arrival_patches_lists_over_shared_bases() {
+    let g = generators::grid(8, 8);
+    let scheme = scheme_for(&g, 42);
+    let prev = OracleSnapshot::builder(&scheme).version(1).build();
+    let cap = g.n() / MATERIALIZE_SHARE;
+
+    let e = g.edge_between(27, 28).unwrap();
+    let (snap, stats) = DeltaBuilder::new(&prev).version(2).build(&FaultSet::single(e)).unwrap();
+    assert_cells_identical(
+        &g,
+        &snap,
+        &OracleSnapshot::builder(&scheme).base_faults(FaultSet::single(e)).build(),
+    );
+
+    let mut subtree = SubtreeScratch::with_capacity(g.n());
+    let mut detached = Vec::new();
+    let (mut listed, mut materialized, mut untouched) = (0, 0, 0);
+    for s in g.vertices() {
+        let row = prev.baseline(s).unwrap();
+        let Some(child) = tree_edge_child(&g, e, |v| row.parent(v)) else {
+            untouched += 1;
+            assert!(snap.shares_row_storage(&prev, s), "source {s}: off-tree row is shared");
+            assert_eq!(snap.patched_cells(s), Some(0));
+            continue;
+        };
+        subtree.collect_subtree(&g, child, |v| row.parent(v), &mut detached);
+        assert!(!snap.shares_row_storage(&prev, s), "source {s}: on-tree row is patched");
+        if detached.len() <= cap {
+            listed += 1;
+            assert!(snap.shares_row_base(&prev, s), "source {s}: a patched row keeps its base");
+            assert_eq!(snap.patched_cells(s), Some(detached.len()), "source {s}");
+        } else {
+            materialized += 1;
+            assert!(!snap.shares_row_base(&prev, s), "source {s}: a long list gets a fresh base");
+            assert_eq!(snap.patched_cells(s), Some(0), "source {s}");
+        }
+    }
+    assert!(listed > 0 && materialized > 0 && untouched > 0, "{listed}/{materialized}/{untouched}");
+    assert_eq!(stats.rows_shared, untouched);
+    assert_eq!(stats.rows_patched, listed + materialized);
+    assert_eq!(stats.rows_materialized, materialized);
+}
+
+/// Long churn on every generator family — lists patched over lists,
+/// cells patched back to their base values, lists folded into fresh
+/// bases — stays cell-identical to a full build at every epoch.
+#[test]
+fn patch_lists_match_full_build_on_every_family() {
+    let families = [
+        ("preferential_attachment", gen::preferential_attachment(40, 2, 3)),
+        ("watts_strogatz", gen::watts_strogatz(40, 4, 0.2, 5)),
+        ("isp_hierarchy", gen::isp_hierarchy(8, 32, 7)),
+        ("grid", generators::grid(6, 6)),
+    ];
+    for (name, g) in families {
+        let scheme = scheme_for(&g, 0x11f7);
+        let opts = TraceOptions { burst: 0.2, max_faults: Some(6), ..Default::default() };
+        let trace = random_trace_with(&g, 240, 0xce11, opts);
+        let mut snap = OracleSnapshot::builder(&scheme).build();
+        let mut state = FaultState::for_graph(&g);
+        let (mut epochs, mut declined, mut materialized, mut longest) = (0, 0, 0, 0);
+        let mut i = 0;
+        while i < trace.len() {
+            let batch = 1 + (i * 5 + 1) % 3;
+            for &ev in &trace[i..(i + batch).min(trace.len())] {
+                state.apply(ev).unwrap();
+            }
+            i += batch;
+            epochs += 1;
+            let faults = state.faults().clone();
+            let full = OracleSnapshot::builder(&scheme).base_faults(faults.clone()).build();
+            snap = match DeltaBuilder::new(&snap).build(&faults) {
+                Ok((next, stats)) => {
+                    materialized += stats.rows_materialized;
+                    assert_cells_identical(&g, &next, &full);
+                    next
+                }
+                Err(DeltaError::Unsupported(_)) => {
+                    declined += 1;
+                    full
+                }
+                Err(err) => panic!("{name}: epoch {epochs}: {err}"),
+            };
+            let listed = g.vertices().filter_map(|s| snap.patched_cells(s)).max().unwrap();
+            longest = longest.max(listed);
+        }
+        assert!(declined * 10 <= epochs, "{name}: {declined} of {epochs} epochs declined");
+        assert!(longest > 0, "{name}: some row must carry a cell list");
+        assert!(materialized > 0, "{name}: some list must cross n / MATERIALIZE_SHARE");
+    }
 }
 
 /// Disconnection: two faults on a cycle cut off an arc of vertices.

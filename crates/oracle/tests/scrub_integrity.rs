@@ -1,6 +1,6 @@
 //! Scrubber integrity: post-publication corruption is detected by
 //! audit (not luck) and healed in the tick that finds it — every truth
-//! row spliced into one copy-on-write clone, published once.
+//! row spliced into one clone of the snapshot, published once.
 //!
 //! The contract under test: a cell flipped in a *published* snapshot
 //! row — damage the commit-time cross-check can no longer see — is
@@ -188,6 +188,78 @@ fn churn_delta_commit_after_heal_patches_clean_rows() {
 
     // And a clean scrub pass confirms the patched snapshot.
     assert_eq!(scrubber.tick().corrupt_rows, 0);
+}
+
+/// A pipeline on an 8×8 grid after one delta commit, and a source whose
+/// row carries a cell list (the cells the commit recomputed).
+fn pipeline_with_listed_row(scheme: &Scheme) -> (ChurnPipeline<u128>, usize) {
+    let g = scheme.graph();
+    let mut pipeline = ChurnPipeline::with_config(scheme, ChurnConfig::default()).unwrap();
+    let e = g.edge_between(27, 28).unwrap();
+    pipeline.ingest(rsp_graph::FaultEvent::Arrive(e)).unwrap();
+    assert!(pipeline.commit().unwrap().delta);
+    let snap = pipeline.published_snapshot();
+    let s = g.vertices().find(|&s| snap.patched_cells(s).unwrap() > 0).expect("a listed row");
+    (pipeline, s)
+}
+
+/// Damage in a row's cell list — the cells a delta commit recomputed —
+/// lands in a fresh copy of the list, never in the base the row shares
+/// with other snapshots, and one tick catches and heals it like damage
+/// in the base.
+#[test]
+fn list_cell_corruption_is_caught_and_healed() {
+    for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
+        let g = generators::grid(8, 8);
+        let scheme = scheme_for(&g, 42);
+        let (pipeline, s) = pipeline_with_listed_row(&scheme);
+        let oracle = pipeline.oracle();
+        let before = oracle.snapshot();
+
+        corrupt_published_row(oracle, s, kind).unwrap();
+        let damaged = oracle.snapshot();
+        assert!(damaged.shares_row_base(&before, s), "{kind:?}: the base is not written");
+        assert!(!damaged.shares_row_storage(&before, s), "{kind:?}: the list is a fresh copy");
+        assert_eq!(damaged.patched_cells(s), before.patched_cells(s), "{kind:?}");
+
+        let mut scrubber = Scrubber::new(oracle.clone(), full_sweep(g.n()));
+        let tick = scrubber.tick();
+        assert_eq!(tick.corrupt_rows, 1, "{kind:?}: the damaged list cell is found");
+        assert_source_correct(oracle, &scheme, s);
+        assert_eq!(oracle.snapshot().patched_cells(s), Some(0), "{kind:?}: healed to a fresh base");
+        assert_eq!(scrubber.tick().corrupt_rows, 0, "{kind:?}: clean after the heal");
+        verify_converged(&pipeline).unwrap();
+    }
+}
+
+/// `TreeView::path_to` on a corrupt published row answers, never
+/// panics, for every target and every corruption kind, with the damage
+/// in the base or in a cell list; a cell whose parent was erased has
+/// no path.
+#[test]
+fn path_to_never_panics_on_a_corrupt_row() {
+    for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
+        let g = generators::grid(4, 4);
+        let oracle = Oracle::build(&scheme_for(&g, 42));
+        let big = generators::grid(8, 8);
+        let big_scheme = scheme_for(&big, 42);
+        let (pipeline, listed) = pipeline_with_listed_row(&big_scheme);
+        for (oracle, s) in [(&oracle, 0), (pipeline.oracle(), listed)] {
+            let victim = corrupt_published_row(oracle, s, kind).unwrap();
+            let mut reader = oracle.reader();
+            let view = reader.query(s, &FaultSet::empty());
+            let n = oracle.snapshot().graph().n();
+            for t in 0..n + 2 {
+                if let Some(path) = view.path_to(t) {
+                    assert_eq!(path.vertices().first(), Some(&s), "{kind:?}: path to {t}");
+                    assert_eq!(path.vertices().last(), Some(&t), "{kind:?}: path to {t}");
+                }
+            }
+            if kind == CellCorruption::Parent {
+                assert_eq!(view.path_to(victim), None, "{kind:?}: the chain breaks at {victim}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
