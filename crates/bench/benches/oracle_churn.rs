@@ -1,6 +1,6 @@
 //! Churn control-plane benchmarks: fault-event ingestion throughput,
-//! commit latency for both build arms (from-scratch rebuild vs. delta
-//! patch), and the full injection-convergence cycle.
+//! publish latency for a from-scratch build vs. a delta commit, and the
+//! full injection-convergence cycle.
 //!
 //! Four regimes, mirroring `rsp_oracle::churn`'s contract:
 //!
@@ -10,18 +10,19 @@
 //!   pre-perturbed frame batch, so events/sec is
 //!   `FRAMES / mean`; the untimed events/sec line after the timed rows
 //!   reports it directly, with the accept/quarantine split.
-//! * `commit_rebuild` — one pending event, one commit on a pipeline
-//!   with `delta_enabled: false`: full snapshot recompilation under
-//!   `catch_unwind`, the 4-source batch-engine cross-check, and the
-//!   epoch swap. The PR 7 baseline cost per published epoch.
-//! * `commit_delta` — the same single-fault epoch on a delta-enabled
-//!   pipeline: the `DeltaBuilder` patches the published snapshot
-//!   (detached-subtree reattach / decrease wave, untouched rows shared
-//!   copy-on-write), gated by the identical cross-check. The
+//! * `commit_rebuild` — the same single-fault epoch as `commit_delta`,
+//!   built from scratch with `SnapshotBuilder` and published with
+//!   `Oracle::publish`: the cost of a full snapshot recompilation plus
+//!   the epoch swap. These rows time no pipeline, so they include no
+//!   cross-check gate and no `catch_unwind`.
+//! * `commit_delta` — one pending event, one pipeline commit: the
+//!   `DeltaBuilder` patches the published snapshot (detached-subtree
+//!   reattach / decrease wave, untouched rows shared), the 4-row
+//!   cross-check gate audits it, and the epoch swap publishes it. The
 //!   `commit_long_trace_*` rows replay a bursty multi-fault trace and
 //!   its inverse (repairs ↔ arrivals, reversed) so every iteration
 //!   lands back on the initial state — long patch-of-patch chains, one
-//!   commit per event.
+//!   publish per event.
 //! * `injection_convergence` — the end-to-end harness cycle on a
 //!   smaller grid: perturb a valid trace, ingest every delivered frame,
 //!   commit, and verify full convergence (published snapshot equal to a
@@ -35,12 +36,12 @@
 //!   restart.
 //! * `scrub_tick_clean` — one budgeted audit tick of the background
 //!   integrity scrubber on a clean snapshot (the steady-state overhead:
-//!   a `dijkstra_batch` over `rows_per_tick` sources, zero publishes).
+//!   one `spt_into` search per audited row, zero publishes).
 //!   An untimed `serve_scrub_off` / `serve_scrub_on` pair then reports
 //!   reader p50/p99 query latency with a scrubber thread hammering
 //!   audits concurrently — the contention cost of continuous scrubbing.
 //!
-//! After the timed rows the bench prints the delta-vs-rebuild commit
+//! After the timed rows the bench prints the delta pipeline's commit
 //! split from `ChurnHealth` (delta commits, fallbacks, last fallback
 //! reason), so a silently degraded delta arm is visible in the log.
 //!
@@ -56,13 +57,13 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsp_core::{ExactScheme, RandomGridAtw};
-use rsp_graph::{generators, FaultEvent, FaultSet, Graph};
+use rsp_graph::{generators, FaultEvent, FaultSet, FaultState, Graph};
 use rsp_oracle::churn::inject::{
     random_trace, random_trace_with, verify_converged, InjectionPlan, StreamInjector, TraceOptions,
 };
 use rsp_oracle::churn::{ChurnConfig, ChurnPipeline};
 use rsp_oracle::scrub::{ScrubConfig, Scrubber};
-use rsp_oracle::Oracle;
+use rsp_oracle::{Oracle, OracleSnapshot};
 
 /// Events in the hostile ingestion batch (before drops/duplicates).
 const TRACE_LEN: usize = 512;
@@ -70,10 +71,6 @@ const TRACE_LEN: usize = 512;
 /// Events in the long-trace commit chains (each iteration replays the
 /// trace plus its inverse: `2 × LONG_TRACE` single-event commits).
 const LONG_TRACE: usize = 32;
-
-fn rebuild_config() -> ChurnConfig {
-    ChurnConfig { delta_enabled: false, ..ChurnConfig::default() }
-}
 
 /// The inverse of a valid trace: reversed, arrivals and repairs
 /// swapped. Replaying `trace` then `inverse(trace)` returns the fault
@@ -90,18 +87,33 @@ fn inverse(trace: &[FaultEvent]) -> Vec<FaultEvent> {
         .collect()
 }
 
-/// The single-fault epoch loop shared by the `commit_rebuild` /
-/// `commit_delta` rows: toggle edge 0, commit, return the epoch.
-fn toggle_commit(pipeline: &mut ChurnPipeline<u128>, expect_delta: bool) -> u64 {
-    let ev = if pipeline.fault_state().faults().contains(0) {
+/// Edge 0's toggle: repair it if `faults` holds it, else fail it.
+fn toggle(faults: &FaultState) -> FaultEvent {
+    if faults.faults().contains(0) {
         FaultEvent::Repair(0)
     } else {
         FaultEvent::Arrive(0)
-    };
-    pipeline.ingest(ev).expect("toggle event is always admissible");
+    }
+}
+
+/// The `commit_delta` epoch: toggle edge 0, commit, return the epoch.
+fn toggle_commit(pipeline: &mut ChurnPipeline<u128>) -> u64 {
+    pipeline.ingest(toggle(pipeline.fault_state())).expect("toggle event is always admissible");
     let report = pipeline.commit().expect("healthy commit publishes");
-    assert_eq!(report.delta, expect_delta, "wrong build arm served this epoch");
+    assert!(report.delta, "the delta rung must serve this epoch");
     report.epoch
+}
+
+/// The from-scratch arm: fold `ev`, build a full snapshot on the new
+/// fault set, publish it, return the epoch.
+fn rebuild_publish(
+    oracle: &Oracle<u128>,
+    scheme: &ExactScheme<u128>,
+    state: &mut FaultState,
+    ev: FaultEvent,
+) -> u64 {
+    state.apply(ev).expect("rebuild arm events are admissible in order");
+    oracle.publish(OracleSnapshot::builder(scheme).base_faults(state.faults().clone()).build())
 }
 
 /// One commit per event over `trace` then its inverse; asserts the
@@ -119,7 +131,8 @@ fn replay_long_trace(
 }
 
 fn commit_rows(c: &mut Criterion, group_name: &str, g: &Graph, scheme: &ExactScheme<u128>) {
-    let mut rebuild = ChurnPipeline::with_config(scheme, rebuild_config()).expect("initial build");
+    let rebuild = Oracle::build(scheme);
+    let mut rebuild_state = FaultState::for_graph(g);
     let mut delta = ChurnPipeline::new(scheme).expect("initial build");
 
     let long = random_trace_with(
@@ -131,31 +144,37 @@ fn commit_rows(c: &mut Criterion, group_name: &str, g: &Graph, scheme: &ExactSch
     let back = inverse(&long);
 
     let mut group = c.benchmark_group(group_name);
-    group.bench_function("commit_rebuild", |b| b.iter(|| toggle_commit(&mut rebuild, false)));
-    group.bench_function("commit_delta", |b| b.iter(|| toggle_commit(&mut delta, true)));
+    group.bench_function("commit_rebuild", |b| {
+        b.iter(|| {
+            let ev = toggle(&rebuild_state);
+            rebuild_publish(&rebuild, scheme, &mut rebuild_state, ev)
+        })
+    });
+    group.bench_function("commit_delta", |b| b.iter(|| toggle_commit(&mut delta)));
     group.bench_function("commit_long_trace_rebuild", |b| {
-        b.iter(|| replay_long_trace(&mut rebuild, &long, &back))
+        b.iter(|| {
+            for &ev in long.iter().chain(&back) {
+                rebuild_publish(&rebuild, scheme, &mut rebuild_state, ev);
+            }
+        })
     });
     group.bench_function("commit_long_trace_delta", |b| {
         b.iter(|| replay_long_trace(&mut delta, &long, &back))
     });
     group.finish();
 
-    // The delta-vs-rebuild split: proof in the log that the delta arm
-    // served deltas instead of silently falling back to rebuilds.
+    // Proof in the log that the delta arm served deltas instead of
+    // silently falling back to full builds.
     let dh = delta.health();
-    let rh = rebuild.health();
     println!(
         "{group_name} build arms: delta pipeline {} delta of {} commits ({} fallbacks, last: {}); \
-         rebuild pipeline {} delta of {} commits",
+         {} from-scratch publishes",
         dh.delta_commits,
         dh.commits,
         dh.delta_fallbacks,
         dh.last_delta_fallback.as_deref().unwrap_or("none"),
-        rh.delta_commits,
-        rh.commits,
+        rebuild.epoch() - 1,
     );
-    assert_eq!(rh.delta_commits, 0, "rebuild-only arm must never delta");
     assert!(
         dh.delta_commits * 10 >= dh.commits * 9,
         "delta arm degraded to rebuilds: {} of {} ({:?})",

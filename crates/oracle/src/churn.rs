@@ -12,26 +12,26 @@
 //!   reason** ([`QuarantineReason`]) — never applied, never a panic.
 //! * **Panic-isolated publish.** Snapshot recompilation runs under
 //!   [`std::panic::catch_unwind`]; a build that panics, fails
-//!   validation, or is **rejected by the cross-check** (sampled sources
-//!   compared against [`rsp_graph::dijkstra_batch`] ground truth) never
-//!   reaches readers.
+//!   validation, or is **rejected by the cross-check** (four sampled
+//!   rows compared against [`rsp_core::ExactScheme::spt_into`], the
+//!   engine the build itself uses) never reaches readers. The gate has
+//!   no off switch.
 //! * **Last-good-snapshot degraded serving.** While builds fail,
 //!   readers keep answering from the last good snapshot; staleness is
 //!   *exposed*, not hidden — [`ChurnHealth`] reports the pending-event
 //!   count and the published epoch/sequence lag.
-//! * **Delta-first commits.** With [`ChurnConfig::delta_enabled`] the
-//!   first build patches the published snapshot through
-//!   [`crate::delta::DeltaBuilder`] — per-epoch work proportional to
-//!   the detached subtree, untouched rows shared, patched rows a short
-//!   cell list over their shared base — and
-//!   still passes the same cross-check gate; any delta refusal or
-//!   failure falls back to the full rebuild with the reason recorded in
+//! * **Delta-first commits.** The first build patches the published
+//!   snapshot through [`crate::delta::DeltaBuilder`] — per-epoch work
+//!   proportional to the detached subtree, untouched rows shared,
+//!   patched rows a short cell list over their shared base — and still
+//!   passes the same cross-check gate; any delta refusal or failure
+//!   falls back to the full build with the reason recorded in
 //!   [`ChurnHealth::last_delta_fallback`].
-//! * **One escalation ladder, no retries.** A build is a pure function
-//!   of the scheme, the fault set and the target sequence, so re-running
-//!   one heals nothing. Each commit climbs the [`BuildStage`] ladder —
-//!   delta patch, full build, full rebuild from the journal — running
-//!   every rung at most once and never sleeping, then reports
+//! * **Two rungs, no retries.** Theorem 20's tie-free weights make every
+//!   selected tree unique, so a build is a pure function of the scheme
+//!   and the fault set: re-running one heals nothing. Each commit climbs
+//!   the [`BuildStage`] ladder — delta patch, then full build — running
+//!   each rung at most once and never sleeping, then reports
 //!   [`ChurnStalled`].
 //! * **Deterministic recovery.** The accepted-event journal is
 //!   append-only; [`ChurnPipeline::replay`] reconstructs an identical
@@ -44,10 +44,11 @@
 //!   behind it, so journal memory stays proportional to the events
 //!   since the last checkpoint, not the stream's lifetime.
 //!   [`ChurnPipeline::recover`] rebuilds a pipeline from serialized
-//!   bytes — [`ChurnPipeline::replay_from`] from the last checkpoint
-//!   when one is present, genesis [`ChurnPipeline::replay`] otherwise —
-//!   tolerating a torn final frame (truncated mid-append = clean
-//!   recovery point) and refusing interior corruption with a typed
+//!   bytes through [`ChurnPipeline::replay_from`], from the last
+//!   checkpoint or from the genesis one — the one fold path every
+//!   recovery takes — tolerating a torn final frame (truncated
+//!   mid-append = clean recovery point) and refusing interior
+//!   corruption with a typed
 //!   [`rsp_graph::journal::JournalDecodeError`], never a panic.
 //! * **Admission control.** [`ChurnConfig::max_pending_events`] caps
 //!   journaled-but-uncommitted events: past it, ingestion sheds with a
@@ -114,24 +115,16 @@ use crate::snapshot::{BuildError, OracleSnapshot};
 #[path = "inject.rs"]
 pub mod inject;
 
-/// Tuning knobs for a [`ChurnPipeline`].
-///
-/// The defaults suit tests and small deployments; production control
-/// planes will want more cross-check sources.
+/// Rows the commit gate audits per built snapshot.
+const CROSS_CHECK_SOURCES: usize = 4;
+/// Seed of the gate's row sample, mixed with the target sequence so
+/// successive builds audit different rows.
+const CROSS_CHECK_SEED: u64 = 0x5eed_cafe;
+
+/// The bounds of a [`ChurnPipeline`]'s own state. The commit ladder and
+/// its cross-check gate are fixed, not configured.
 #[derive(Clone, Debug)]
 pub struct ChurnConfig {
-    /// Number of sources sampled for the batch-engine cross-check of
-    /// every built snapshot; `0` disables the gate (default 4).
-    pub cross_check_sources: usize,
-    /// Seed for the deterministic cross-check source sample (mixed with
-    /// the target sequence number, so every build checks fresh rows).
-    pub cross_check_seed: u64,
-    /// Attempt a [`crate::delta::DeltaBuilder`] patch of the published
-    /// snapshot before falling back to a full rebuild (default `true`).
-    /// Disable to force every commit through the from-scratch builder —
-    /// the rebuild-only arm of the differential test battery and the
-    /// `commit_rebuild` bench rows run this way.
-    pub delta_enabled: bool,
     /// Admission-control cap on journaled-but-uncommitted events
     /// (default 65 536). When [`ChurnPipeline::pending_events`] reaches
     /// this cap, further events are **shed** with a typed
@@ -147,13 +140,7 @@ pub struct ChurnConfig {
 
 impl Default for ChurnConfig {
     fn default() -> Self {
-        ChurnConfig {
-            cross_check_sources: 4,
-            cross_check_seed: 0x5eed_cafe,
-            delta_enabled: true,
-            max_pending_events: 65_536,
-            max_quarantine_log: 1_024,
-        }
+        ChurnConfig { max_pending_events: 65_536, max_quarantine_log: 1_024 }
     }
 }
 
@@ -268,18 +255,14 @@ pub enum BuildFailure {
     Panicked(String),
     /// The builder rejected the configuration.
     Rejected(BuildError),
-    /// The built snapshot disagreed with the batch engine on a sampled
-    /// cell — it was discarded before publication.
+    /// The built snapshot disagreed with the engine on a sampled cell —
+    /// it was discarded before publication.
     CrossCheckMismatch {
         /// The sampled source whose tree row disagreed.
         source: Vertex,
         /// The vertex at which the disagreement was detected.
         target: Vertex,
     },
-    /// Replaying the journal during a full rebuild rejected an event —
-    /// the journal itself is corrupt (this indicates an internal bug or
-    /// external tampering, and is surfaced rather than panicking).
-    JournalCorrupt(FaultEventError),
 }
 
 impl std::fmt::Display for BuildFailure {
@@ -290,7 +273,6 @@ impl std::fmt::Display for BuildFailure {
             BuildFailure::CrossCheckMismatch { source, target } => {
                 write!(f, "cross-check mismatch at source {source}, target {target}")
             }
-            BuildFailure::JournalCorrupt(e) => write!(f, "journal replay rejected event: {e}"),
         }
     }
 }
@@ -305,7 +287,7 @@ pub struct ChurnStalled {
     /// Build attempts made by this commit call: one per failed rung (a
     /// declined delta rung costs none).
     pub attempts: u32,
-    /// The failure of the last rung, [`BuildStage::JournalRebuild`].
+    /// The failure of the last rung, [`BuildStage::Full`].
     pub last_failure: BuildFailure,
 }
 
@@ -330,11 +312,9 @@ pub struct CommitReport {
     pub seq: u64,
     /// Build attempts made (0 when the pipeline was already current).
     pub attempts: u32,
-    /// `true` iff the publish came from [`BuildStage::JournalRebuild`].
-    pub full_rebuild: bool,
     /// `true` iff the published snapshot was produced by the delta
-    /// builder patching the predecessor (rather than a from-scratch
-    /// rebuild).
+    /// builder patching the predecessor; `false` on a publish means the
+    /// from-scratch [`BuildStage::Full`] rung built it.
     pub delta: bool,
     /// `false` iff the commit was a no-op (nothing pending, not
     /// degraded), in which case no new epoch was published.
@@ -376,8 +356,10 @@ pub struct ChurnHealth {
     pub quarantined_total: u64,
     /// Successful publishes since construction (excluding the initial).
     pub commits: u64,
-    /// Journal-rebuild rungs ([`BuildStage::JournalRebuild`]) attempted
-    /// since construction.
+    /// From-scratch builds ([`BuildStage::Full`] rungs) attempted since
+    /// construction. The full rung runs exactly when the delta rung
+    /// falls back, so this always equals
+    /// [`ChurnHealth::delta_fallbacks`].
     pub full_rebuilds: u64,
     /// Publishes served by a delta patch of the predecessor snapshot.
     pub delta_commits: u64,
@@ -398,14 +380,10 @@ pub struct ChurnHealth {
 /// commit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BuildStage {
-    /// Patch the published snapshot with the delta builder (only with
-    /// [`ChurnConfig::delta_enabled`]).
+    /// Patch the published snapshot with the delta builder.
     Delta,
     /// Build from scratch on the pipeline's accepted fault state.
     Full,
-    /// Build from scratch on a fault state re-derived from the journal
-    /// alone — the escalation counted in [`ChurnHealth::full_rebuilds`].
-    JournalRebuild,
 }
 
 /// The injection point a [`ChurnPipeline`] probe observes: which build
@@ -453,8 +431,8 @@ pub struct ChurnPipeline<C: PathCost + 'static> {
     /// Sequence of the last event folded into `base_state` (0 before
     /// any compaction: the tail is the whole journal).
     base_seq: u64,
-    /// The fold of the compacted prefix `1..=base_seq` — what a full
-    /// rebuild re-derives the fault state from, together with the tail.
+    /// The fold of the compacted prefix `1..=base_seq`, exported as the
+    /// checkpoint frame of [`ChurnPipeline::export_journal`].
     base_state: FaultState,
     /// Oracle epoch recorded by the compaction checkpoint (exported in
     /// [`ChurnPipeline::export_journal`]'s checkpoint frame).
@@ -469,7 +447,6 @@ pub struct ChurnPipeline<C: PathCost + 'static> {
     published_seq: u64,
     consecutive_failures: u32,
     commits: u64,
-    full_rebuilds: u64,
     delta_commits: u64,
     delta_fallbacks: u64,
     last_delta_fallback: Option<String>,
@@ -519,7 +496,6 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
             published_seq: 0,
             consecutive_failures: 0,
             commits: 0,
-            full_rebuilds: 0,
             delta_commits: 0,
             delta_fallbacks: 0,
             last_delta_fallback: None,
@@ -561,16 +537,7 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         journal: &[FaultEvent],
         config: ChurnConfig,
     ) -> Result<Self, ReplayError> {
-        let mut pipeline = Self::with_config(scheme, config).map_err(ReplayError::Build)?;
-        for (i, &ev) in journal.iter().enumerate() {
-            // Recovery replays bypass admission control: re-validating
-            // an accepted journal must never be shed by the live cap.
-            pipeline
-                .ingest_validated(ev)
-                .map_err(|reason| ReplayError::Rejected { seq: i as u64 + 1, reason })?;
-        }
-        pipeline.commit().map_err(ReplayError::Stalled)?;
-        Ok(pipeline)
+        Self::replay_from(scheme, &genesis(scheme), journal, config)
     }
 
     /// Reconstructs a pipeline from a compaction checkpoint plus the
@@ -633,6 +600,8 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         pipeline.base_state = checkpoint.state.clone();
         pipeline.base_seq = checkpoint.seq;
         pipeline.base_epoch = checkpoint.epoch;
+        // Recovery replays bypass admission control: re-validating an
+        // accepted journal must never be shed by the live cap.
         for (i, &ev) in tail.iter().enumerate() {
             pipeline.ingest_validated(ev).map_err(|reason| ReplayError::Rejected {
                 seq: checkpoint.seq + i as u64 + 1,
@@ -665,12 +634,12 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
             JournalTail::Clean => None,
         };
         let frames = decoded.frames.len();
-        let mut checkpoint: Option<JournalCheckpoint> = None;
+        let mut checkpoint = genesis(scheme);
         let mut tail: Vec<FaultEvent> = Vec::new();
         for frame in decoded.frames {
             match frame {
                 JournalFrame::Checkpoint(c) => {
-                    checkpoint = Some(c);
+                    checkpoint = c;
                     tail.clear();
                 }
                 JournalFrame::Event(ev) => tail.push(ev),
@@ -679,14 +648,11 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         let report = RecoveryReport {
             frames,
             events: tail.len(),
-            checkpoint_seq: checkpoint.as_ref().map_or(0, |c| c.seq),
+            checkpoint_seq: checkpoint.seq,
             torn_tail_at,
         };
-        let pipeline = match &checkpoint {
-            Some(c) => Self::replay_from(scheme, c, &tail, config),
-            None => Self::replay(scheme, &tail, config),
-        }
-        .map_err(RecoverError::Replay)?;
+        let pipeline =
+            Self::replay_from(scheme, &checkpoint, &tail, config).map_err(RecoverError::Replay)?;
         Ok((pipeline, report))
     }
 
@@ -924,26 +890,22 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
     ///
     /// A commit climbs the [`BuildStage`] ladder, running each rung at
     /// most once and never sleeping — a build is a pure function of the
-    /// scheme, the fault set and the target sequence, so re-running a
-    /// failed one would fail the same way:
+    /// scheme and the fault set, so re-running a failed one would fail
+    /// the same way:
     ///
-    /// 1. [`BuildStage::Delta`] (with [`ChurnConfig::delta_enabled`])
-    ///    patches the published snapshot. A structural refusal
-    ///    ([`crate::delta::DeltaUnsupported`]) costs no attempt and
-    ///    counts no failure; either way the fallback's reason lands in
-    ///    [`ChurnHealth::last_delta_fallback`].
+    /// 1. [`BuildStage::Delta`] patches the published snapshot. A
+    ///    structural refusal ([`crate::delta::DeltaUnsupported`]) costs
+    ///    no attempt and counts no failure; either way the fallback's
+    ///    reason lands in [`ChurnHealth::last_delta_fallback`].
     /// 2. [`BuildStage::Full`] builds from scratch on the accepted fault
     ///    state.
-    /// 3. [`BuildStage::JournalRebuild`] builds from scratch on a fault
-    ///    state re-derived from the journal.
     ///
-    /// Every rung is **panic-isolated** and **cross-checked** against
-    /// the batch engine on sampled sources; a failed rung leaves the
-    /// last good snapshot serving. If every rung fails, `commit` returns
-    /// [`ChurnStalled`] — readers are still serving the last good
-    /// snapshot, [`ChurnPipeline::health`] reports the staleness, and
-    /// the next `commit` climbs the ladder again. Rebuild-only behavior
-    /// is one config flag away and cell-for-cell equivalent.
+    /// Both rungs are **panic-isolated** and **cross-checked** against
+    /// the engine on sampled sources; a failed rung leaves the last good
+    /// snapshot serving. If both fail, `commit` returns [`ChurnStalled`]
+    /// — readers are still serving the last good snapshot,
+    /// [`ChurnPipeline::health`] reports the staleness, and the next
+    /// `commit` climbs the ladder again.
     pub fn commit(&mut self) -> Result<CommitReport, ChurnStalled> {
         let target_seq = self.accepted_seq();
         if target_seq == self.published_seq && self.consecutive_failures == 0 {
@@ -951,19 +913,13 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
                 epoch: self.oracle.epoch(),
                 seq: target_seq,
                 attempts: 0,
-                full_rebuild: false,
                 delta: false,
                 published: false,
             });
         }
 
-        let ladder: &[BuildStage] = if self.config.delta_enabled {
-            &[BuildStage::Delta, BuildStage::Full, BuildStage::JournalRebuild]
-        } else {
-            &[BuildStage::Full, BuildStage::JournalRebuild]
-        };
         let mut attempts = 0;
-        for &stage in ladder {
+        for stage in [BuildStage::Delta, BuildStage::Full] {
             let err = match self.build_stage(stage, target_seq) {
                 Ok(snapshot) => {
                     return Ok(self.publish_built(snapshot, target_seq, attempts + 1, stage))
@@ -1003,7 +959,7 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
             consecutive_failures: self.consecutive_failures,
             quarantined_total: self.quarantined_total,
             commits: self.commits,
-            full_rebuilds: self.full_rebuilds,
+            full_rebuilds: self.delta_fallbacks,
             delta_commits: self.delta_commits,
             delta_fallbacks: self.delta_fallbacks,
             last_delta_fallback: self.last_delta_fallback.clone(),
@@ -1020,9 +976,9 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         self.probe = probe;
     }
 
-    /// Runs one rung of the commit ladder: consults the probe once,
-    /// picks the rung's fault set, and hands its builder to the shared
-    /// panic-isolated, cross-checked [`build_and_check`] step.
+    /// Runs one rung of the commit ladder: consults the probe once and
+    /// hands the rung's builder to the shared panic-isolated,
+    /// cross-checked [`build_and_check`] step.
     fn build_stage(
         &mut self,
         stage: BuildStage,
@@ -1030,19 +986,8 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
     ) -> Result<OracleSnapshot<C>, RungError> {
         let ctx = BuildContext { stage, target_seq };
         let injected = self.probe.as_mut().map_or(BuildFault::None, |p| p(&ctx));
-        let faults = if stage == BuildStage::JournalRebuild {
-            self.full_rebuilds += 1;
-            // From scratch: trust nothing but the journal — the
-            // compacted prefix's fold plus the in-memory tail.
-            let mut st = self.base_state.clone();
-            for &ev in &self.journal {
-                st.apply(ev).map_err(BuildFailure::JournalCorrupt)?;
-            }
-            st.faults().clone()
-        } else {
-            self.state.faults().clone()
-        };
-        build_and_check(injected, &self.config, target_seq, || match stage {
+        let faults = self.state.faults().clone();
+        build_and_check(injected, target_seq, || match stage {
             BuildStage::Delta => {
                 match DeltaBuilder::new(&self.oracle.snapshot()).version(target_seq).build(&faults)
                 {
@@ -1051,7 +996,7 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
                     Err(DeltaError::Build(e)) => Err(BuildFailure::Rejected(e).into()),
                 }
             }
-            BuildStage::Full | BuildStage::JournalRebuild => OracleSnapshot::builder(&self.scheme)
+            BuildStage::Full => OracleSnapshot::builder(&self.scheme)
                 .base_faults(faults)
                 .version(target_seq)
                 .try_build()
@@ -1075,14 +1020,7 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         if delta {
             self.delta_commits += 1;
         }
-        CommitReport {
-            epoch,
-            seq: target_seq,
-            attempts,
-            full_rebuild: stage == BuildStage::JournalRebuild,
-            delta,
-            published: true,
-        }
+        CommitReport { epoch, seq: target_seq, attempts, delta, published: true }
     }
 }
 
@@ -1195,7 +1133,6 @@ impl From<BuildFailure> for RungError {
 /// does and a wrong patch can never out-publish one.
 fn build_and_check<C: PathCost + 'static>(
     injected: BuildFault,
-    config: &ChurnConfig,
     version: u64,
     build: impl FnOnce() -> Result<OracleSnapshot<C>, RungError>,
 ) -> Result<OracleSnapshot<C>, RungError> {
@@ -1207,7 +1144,7 @@ fn build_and_check<C: PathCost + 'static>(
             panic!("injected builder panic (target seq {version})");
         }
         let mut snapshot = build()?;
-        let samples = cross_check_sample(snapshot.sources(), config, version);
+        let samples = cross_check_sample(snapshot.sources(), version);
         if injected == BuildFault::Corrupt {
             // Corrupt a row the cross-check will visit, so the gate is
             // exercised, not bypassed.
@@ -1228,14 +1165,10 @@ fn build_and_check<C: PathCost + 'static>(
 /// The deterministic cross-check sample for a build targeting
 /// `version`: distinct serving sources drawn from a seeded generator,
 /// fresh per version so successive builds audit different rows.
-fn cross_check_sample(sources: &[Vertex], config: &ChurnConfig, version: u64) -> Vec<Vertex> {
-    let k = config.cross_check_sources.min(sources.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(
-        config.cross_check_seed ^ version.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    );
+fn cross_check_sample(sources: &[Vertex], version: u64) -> Vec<Vertex> {
+    let k = CROSS_CHECK_SOURCES.min(sources.len());
+    let mut rng =
+        StdRng::seed_from_u64(CROSS_CHECK_SEED ^ version.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut picked: Vec<Vertex> = Vec::with_capacity(k);
     while picked.len() < k {
         let v = sources[rng.random_range(0..sources.len())];
@@ -1244,6 +1177,13 @@ fn cross_check_sample(sources: &[Vertex], config: &ChurnConfig, version: u64) ->
         }
     }
     picked
+}
+
+/// The genesis checkpoint of `scheme`'s graph: nothing accepted, no
+/// faults. Recovery from a journal without a checkpoint frame starts
+/// here.
+fn genesis<C: PathCost + 'static>(scheme: &ExactScheme<C>) -> JournalCheckpoint {
+    JournalCheckpoint { seq: 0, epoch: 0, state: FaultState::new(scheme.graph().m()) }
 }
 
 /// Best-effort extraction of a panic payload's message.

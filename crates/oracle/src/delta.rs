@@ -48,10 +48,10 @@
 //! the builder detects the tie during relaxation and **refuses**
 //! ([`DeltaUnsupported::TieDetected`]) instead of guessing, and the
 //! churn pipeline falls back to the canonical full rebuild. The
-//! pipeline additionally keeps its sampled `dijkstra_batch` cross-check
-//! as the runtime correctness gate on every delta-built snapshot, and
-//! `crates/oracle/tests/delta_equivalence.rs` pins delta-enabled
-//! pipelines cell-by-cell against rebuild-only ones at every epoch.
+//! pipeline additionally keeps its sampled `spt_into` cross-check as
+//! the runtime correctness gate on every delta-built snapshot, and
+//! `crates/oracle/tests/delta_equivalence.rs` pins delta pipelines
+//! cell-by-cell against a fresh full build at every epoch.
 //!
 //! # Examples
 //!

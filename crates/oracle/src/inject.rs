@@ -15,9 +15,9 @@
 //! * [`flaky_builder`] / [`flaky_delta_builder`] — the build-side
 //!   attackers: probes for [`ChurnPipeline::set_build_probe`] that
 //!   panic the snapshot builder (or only its delta patches) or corrupt
-//!   its output for the first N builds, then heal — exercising every
-//!   rung of the commit ladder: cross-check rejection, delta fallback,
-//!   and the journal-rebuild escalation.
+//!   its output for the first N builds, then heal — exercising both
+//!   rungs of the commit ladder: cross-check rejection, delta fallback
+//!   to the full build, and the stall when both fail.
 //! * [`flip_random_bit`] / [`truncate_random`] — durability attackers
 //!   for serialized **journal streams** ([`ChurnPipeline::export_journal`]):
 //!   a seeded single-bit flip the CRC framing must catch, and a seeded
@@ -282,10 +282,9 @@ impl StreamInjector {
 /// then behaves. Install with [`ChurnPipeline::set_build_probe`].
 ///
 /// The probe is consulted once per rung of the commit ladder
-/// ([`super::BuildStage`]). With deltas on, one failure publishes from
-/// the full rung, two publish from the journal-rebuild rung, and three
-/// or more stall the commit while the last good snapshot keeps serving.
-/// The robustness suite pins all three regimes.
+/// ([`super::BuildStage`]): one failure publishes from the full rung,
+/// two stall the commit while the last good snapshot keeps serving.
+/// The robustness suite pins both regimes.
 pub fn flaky_builder(panics: u32, corrupts: u32) -> BuildProbe {
     let mut seen = 0u32;
     Box::new(move |_ctx| {

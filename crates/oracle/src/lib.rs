@@ -42,8 +42,8 @@
 //! Under *churn* — live fault arrive/repair streams — the [`churn`]
 //! module hardens this loop: [`churn::ChurnPipeline`] validates and
 //! quarantines hostile events, recompiles snapshots panic-isolated and
-//! cross-checked, escalating once through delta patch, full build and
-//! journal rebuild (no retries, no sleeps), and keeps readers on the last
+//! cross-checked, escalating once from delta patch to full build (no
+//! retries, no sleeps), and keeps readers on the last
 //! good snapshot when builds fail (staleness exposed via
 //! [`churn::ChurnHealth`], never hidden). A seeded injection harness
 //! ([`churn::inject`]) drives drops, duplicates, reorders, corruptions,

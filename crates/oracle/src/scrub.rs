@@ -11,8 +11,9 @@
 //! * **Budgeted audit.** Each [`Scrubber::tick`] re-verifies
 //!   [`ScrubConfig::rows_per_tick`] source rows of the currently
 //!   published snapshot **cell by cell** (hops, parents, exact costs)
-//!   against a fresh [`rsp_graph::dijkstra_batch`] run on the
-//!   snapshot's own base fault state — the same row audit the commit
+//!   against a fresh [`rsp_core::ExactScheme::spt_into`] run per row on
+//!   the snapshot's own base fault state — the engine the build uses,
+//!   and the same row audit the commit
 //!   gate runs on its sample, but sweeping *every* row over successive
 //!   ticks (a wrapping cursor; [`ScrubHealth::complete_passes`] counts
 //!   full sweeps).
@@ -85,8 +86,8 @@ use crate::serve::Oracle;
 #[derive(Clone, Copy, Debug)]
 pub struct ScrubConfig {
     /// Source rows audited per [`Scrubber::tick`] (default 4). The
-    /// audit budget — one `dijkstra_batch` run over this many sources
-    /// per tick, amortizing a full sweep over
+    /// audit budget — one `spt_into` search per audited row, so a tick
+    /// costs this many searches and a full sweep is amortized over
     /// `ceil(sources / rows_per_tick)` ticks. `0` is clamped to 1.
     pub rows_per_tick: usize,
 }
@@ -171,11 +172,11 @@ impl<C: PathCost + 'static> Scrubber<C> {
 
     /// One audit step: re-verify the next [`ScrubConfig::rows_per_tick`]
     /// rows of the published snapshot cell-by-cell against the exact
-    /// batch engine and heal every row that disagrees. Returns what
+    /// engine and heal every row that disagrees. Returns what
     /// happened; cumulative counters via [`Scrubber::health`].
     ///
-    /// Cheap when clean: one `dijkstra_batch` over the audited sources,
-    /// zero publishes. On corruption it splices every truth row into
+    /// Cheap when clean: one `spt_into` search per audited row, zero
+    /// publishes. On corruption it splices every truth row into
     /// one clone of the snapshot and publishes exactly once.
     pub fn tick(&mut self) -> ScrubTick {
         let snap = self.oracle.snapshot();

@@ -25,14 +25,11 @@
 //! property suite in `tests/oracle_properties.rs` pins this.
 
 use std::borrow::Cow;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use rsp_arith::PathCost;
 use rsp_core::{ExactScheme, Rpts};
-use rsp_graph::{
-    dijkstra_batch, BatchScratch, EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex,
-};
+use rsp_graph::{EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex};
 
 use crate::churn::inject::CellCorruption;
 
@@ -898,7 +895,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
 
     /// Fault-injection seam: deliberately flips one cell of a reachable
     /// non-source vertex in `s`'s tree row, so a row audit against the
-    /// batch engine MUST flag the row. The damage goes where the cell is
+    /// engine MUST flag the row. The damage goes where the cell is
     /// stored, never into shared storage: into a fresh copy of the cell
     /// list when the list replaces a reachable non-source cell (the
     /// first such), else into a fresh copy of the base at the first
@@ -926,25 +923,19 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
 
     /// The one row audit behind the churn commit gate and the scrubber:
     /// compares each target's row cell by cell (hops, parents, exact
-    /// costs) against a fresh [`dijkstra_batch`] run on the snapshot's
-    /// own base faults and returns every corrupt row, in target order.
-    /// Non-serving targets are skipped. A truth row is built only
-    /// for a row that mismatches, so a clean audit allocates nothing
-    /// beyond the batch run.
+    /// costs) against a fresh [`ExactScheme::spt_into`] run on the
+    /// snapshot's own base faults — the engine the build uses — and
+    /// returns every corrupt row, in target order. Non-serving targets
+    /// are skipped before any search. A truth row is built only for a
+    /// row that mismatches, so a clean audit allocates nothing beyond
+    /// one search scratch.
     pub(crate) fn audit_rows(&self, targets: &[Vertex]) -> Vec<CorruptRow<C>> {
-        if targets.is_empty() {
-            return Vec::new();
-        }
         let g = self.scheme.graph();
-        let fault_sets = [self.base_faults.clone()];
-        let mut batch = BatchScratch::<C>::new();
+        let mut run = SearchScratch::<C>::new();
         let mut corrupt = Vec::new();
-        let costs = self.scheme.directed_costs();
-        dijkstra_batch(g, targets, &fault_sets, costs, &mut batch, |si, _fi, run| {
-            let source = targets[si];
-            let Some(row) = self.row_of(source).map(|r| &self.rows[r]) else {
-                return ControlFlow::Continue(());
-            };
+        for &source in targets {
+            let Some(row) = self.row_of(source).map(|r| &self.rows[r]) else { continue };
+            self.scheme.spt_into(source, &self.base_faults, &mut run);
             let first_bad = g.vertices().find(|&v| {
                 let c = row.cell(v).expect("a row covers every vertex");
                 let hops = c.reached();
@@ -952,10 +943,10 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
                 hops != run.hops(v) || c.parent(g, v) != run.parent(v) || cost != run.cost(v)
             });
             if let Some(first_bad) = first_bad {
-                corrupt.push(CorruptRow { source, first_bad, truth: TreeRow::from_search(g, run) });
+                let truth = TreeRow::from_search(g, &run);
+                corrupt.push(CorruptRow { source, first_bad, truth });
             }
-            ControlFlow::Continue(())
-        });
+        }
         corrupt
     }
 }

@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
 use rsp_graph::{generators, FaultEvent, FaultSet, FaultState, Graph};
 use rsp_oracle::churn::inject::{
-    flaky_builder, random_trace, random_trace_with, verify_converged, verify_published,
-    InjectionPlan, StreamInjector, TraceOptions,
+    corrupt_published_row, flaky_builder, random_trace, random_trace_with, verify_converged,
+    verify_published, CellCorruption, InjectionPlan, StreamInjector, TraceOptions,
 };
 use rsp_oracle::churn::{
     BuildContext, BuildFailure, BuildFault, BuildStage, ChurnConfig, ChurnPipeline,
@@ -85,7 +85,7 @@ fn hostile_wire_stream_converges_to_accepted_state() {
     }
 }
 
-/// Builder panics on every rung of the ladder: the commit stalls,
+/// Builder panics on both rungs of the ladder: the commit stalls,
 /// readers keep answering from the last good snapshot, health reports
 /// the degradation honestly — and the next healthy commit heals.
 #[test]
@@ -97,12 +97,12 @@ fn stalled_commit_serves_last_good_snapshot_and_recovers() {
     let healthy_answer = reader.query(0, &FaultSet::empty()).dist(15);
     let epoch_before = pipeline.oracle().epoch();
 
-    // Delta, full build and journal rebuild, all panicking.
-    pipeline.set_build_probe(Some(flaky_builder(3, 0)));
+    // Delta patch and full build, both panicking.
+    pipeline.set_build_probe(Some(flaky_builder(2, 0)));
     let e = g.edge_between(0, 1).unwrap();
     pipeline.ingest(FaultEvent::Arrive(e)).unwrap();
     let stalled = pipeline.commit().unwrap_err();
-    assert_eq!(stalled.attempts, 3);
+    assert_eq!(stalled.attempts, 2);
     assert!(matches!(stalled.last_failure, BuildFailure::Panicked(_)));
 
     // Degraded serving: same epoch, same answers, staleness exposed.
@@ -112,7 +112,7 @@ fn stalled_commit_serves_last_good_snapshot_and_recovers() {
     let health = pipeline.health();
     assert!(health.degraded);
     assert_eq!(health.pending_events, 1);
-    assert_eq!(health.consecutive_failures, 3);
+    assert_eq!(health.consecutive_failures, 2);
     assert_eq!(health.full_rebuilds, 1);
     assert!(health.last_failure.unwrap().contains("panicked"));
 
@@ -122,24 +122,6 @@ fn stalled_commit_serves_last_good_snapshot_and_recovers() {
     assert_eq!(pipeline.oracle().epoch(), epoch_before + 1);
     verify_converged(&pipeline).unwrap();
     assert_eq!(reader.query(0, &FaultSet::empty()).dist(1), Some(3), "routes around the fault");
-}
-
-/// The delta and full rungs both fail: the escalation rung — fault
-/// state re-derived from the journal, built from scratch — publishes,
-/// and the report says so.
-#[test]
-fn full_rebuild_escalation_publishes() {
-    let g = generators::grid(4, 4);
-    let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
-    pipeline.set_build_probe(Some(flaky_builder(2, 0)));
-    pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
-    let report = pipeline.commit().unwrap();
-    assert!(report.published);
-    assert!(report.full_rebuild);
-    assert_eq!(report.attempts, 3);
-    assert_eq!(pipeline.health().full_rebuilds, 1);
-    verify_converged(&pipeline).unwrap();
 }
 
 /// The cross-check gate: a build whose output is corrupted must be
@@ -155,7 +137,7 @@ fn cross_check_rejects_corrupted_snapshot() {
     pipeline.set_build_probe(Some(flaky_builder(0, 1)));
     pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
     let report = pipeline.commit().unwrap();
-    assert!(!report.delta && !report.full_rebuild, "the full rung published");
+    assert!(!report.delta, "the full rung published");
     assert_eq!(report.attempts, 2, "the delta rung was rejected by the cross-check");
     assert!(report.published);
     // Exactly one publish happened: the corrupt snapshot was discarded,
@@ -171,26 +153,21 @@ fn cross_check_rejects_corrupted_snapshot() {
 fn commit_ladder_runs_each_rung_once() {
     let g = generators::grid(3, 3);
     let scheme = scheme_for(&g, 7);
-    for (delta_enabled, expected) in [
-        (true, vec![BuildStage::Delta, BuildStage::Full, BuildStage::JournalRebuild]),
-        (false, vec![BuildStage::Full, BuildStage::JournalRebuild]),
-    ] {
-        let config = ChurnConfig { delta_enabled, ..ChurnConfig::default() };
-        let mut pipeline = ChurnPipeline::with_config(&scheme, config).unwrap();
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        pipeline.set_build_probe(Some(Box::new(move |ctx: &BuildContext| {
-            sink.lock().unwrap().push(ctx.stage);
-            BuildFault::Panic
-        })));
-        pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
-        let stalled = pipeline.commit().unwrap_err();
-        assert_eq!(*seen.lock().unwrap(), expected, "delta_enabled = {delta_enabled}");
-        assert_eq!(stalled.attempts as usize, expected.len());
-        let health = pipeline.health();
-        assert_eq!(health.consecutive_failures as usize, expected.len());
-        assert_eq!(health.full_rebuilds, 1);
-    }
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    pipeline.set_build_probe(Some(Box::new(move |ctx: &BuildContext| {
+        sink.lock().unwrap().push(ctx.stage);
+        BuildFault::Panic
+    })));
+    pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
+    let stalled = pipeline.commit().unwrap_err();
+    assert_eq!(*seen.lock().unwrap(), [BuildStage::Delta, BuildStage::Full]);
+    assert_eq!(stalled.attempts, 2);
+    let health = pipeline.health();
+    assert_eq!(health.consecutive_failures, 2);
+    assert_eq!(health.full_rebuilds, 1);
+    assert_eq!(health.full_rebuilds, health.delta_fallbacks);
 }
 
 /// Crash recovery: replaying the journal reconstructs a pipeline whose
@@ -439,13 +416,12 @@ fn verifier_detects_corruption() {
     let g = generators::grid(3, 3);
     let scheme = scheme_for(&g, 7);
     let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
-    // Sneak a corrupt snapshot past the gate by disabling cross-checks.
-    let cfg = ChurnConfig { cross_check_sources: 0, ..ChurnConfig::default() };
-    let mut unchecked = ChurnPipeline::with_config(&scheme, cfg).unwrap();
-    unchecked.set_build_probe(Some(flaky_builder(0, 1)));
-    unchecked.ingest(FaultEvent::Arrive(0)).unwrap();
-    unchecked.commit().unwrap();
-    assert!(verify_published(&unchecked).is_err(), "corruption must be visible to the verifier");
+    // Damage the published snapshot behind the gate's back.
+    let mut damaged = ChurnPipeline::new(&scheme).unwrap();
+    damaged.ingest(FaultEvent::Arrive(0)).unwrap();
+    damaged.commit().unwrap();
+    corrupt_published_row(damaged.oracle(), 4, CellCorruption::Hop).unwrap();
+    assert!(verify_published(&damaged).is_err(), "corruption must be visible to the verifier");
     // And the checked pipeline rejects the same corruption (sanity): the
     // corrupted delta rung fails, the full rung publishes.
     pipeline.set_build_probe(Some(flaky_builder(0, 1)));

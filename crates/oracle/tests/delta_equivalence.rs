@@ -1,8 +1,8 @@
 //! The delta-vs-rebuild differential battery (ISSUE 8).
 //!
-//! Contract under test: a delta-enabled pipeline and a rebuild-only
-//! pipeline fed the same event stream publish **cell-by-cell identical**
-//! snapshots at every epoch; the delta-built cells are pinned against
+//! Contract under test: a churn pipeline publishes, at every epoch,
+//! snapshots **cell-by-cell identical** to a fresh full build on the
+//! same fault set; the delta-built cells are pinned against
 //! `tree_from_with` and `dijkstra_batch`/`dijkstra_batch_par` (workers
 //! 1/2/8) directly; untouched rows are **Arc-pointer shared** with the
 //! predecessor (so "delta" can't silently mean "rebuild"); and a flaky
@@ -18,7 +18,7 @@ use rsp_graph::{
 use rsp_oracle::churn::inject::{
     flaky_delta_builder, random_trace_with, verify_converged, TraceOptions,
 };
-use rsp_oracle::churn::{ChurnConfig, ChurnPipeline};
+use rsp_oracle::churn::ChurnPipeline;
 use rsp_oracle::delta::{DeltaBuilder, DeltaError, MATERIALIZE_SHARE};
 use rsp_oracle::OracleSnapshot;
 
@@ -28,12 +28,10 @@ fn scheme_for(g: &Graph, wseed: u64) -> Scheme {
     RandomGridAtw::theorem20(g, wseed).into_scheme()
 }
 
-fn delta_config() -> ChurnConfig {
-    ChurnConfig::default()
-}
-
-fn rebuild_config() -> ChurnConfig {
-    ChurnConfig { delta_enabled: false, ..ChurnConfig::default() }
+/// The reference every delta epoch is held to: a from-scratch build on
+/// the same fault set.
+fn full_build(scheme: &Scheme, state: &FaultState) -> OracleSnapshot<u128> {
+    OracleSnapshot::builder(scheme).base_faults(state.faults().clone()).build()
 }
 
 /// Cell-by-cell snapshot equality: every source row, every vertex,
@@ -69,7 +67,7 @@ fn independent_fold(g: &Graph, journal: &[FaultEvent]) -> FaultSet {
 fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
 
     let trace =
         random_trace_with(&g, 12, 0xd1f5_0001, TraceOptions { burst: 0.3, ..Default::default() });
@@ -130,7 +128,7 @@ fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
 fn untouched_rows_share_storage_with_predecessor() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
     let prev = pipeline.published_snapshot();
 
     let e = g.edge_between(0, 1).unwrap();
@@ -161,13 +159,9 @@ fn untouched_rows_share_storage_with_predecessor() {
     assert!(patched > 0, "edge (0,1) is a tree edge of source 0's row at minimum");
     assert!(shared > 0, "a single fault must leave most grid rows untouched");
 
-    // A rebuild-only pipeline never shares storage — the predicate has
-    // teeth, not just vacuous truth.
-    let mut rebuild = ChurnPipeline::with_config(&scheme, rebuild_config()).unwrap();
-    rebuild.ingest(FaultEvent::Arrive(e)).unwrap();
-    let rb_report = rebuild.commit().unwrap();
-    assert!(!rb_report.delta);
-    let rb_snap = rebuild.published_snapshot();
+    // A full build never shares storage — the predicate has teeth, not
+    // just vacuous truth.
+    let rb_snap = OracleSnapshot::builder(&scheme).base_faults(FaultSet::single(e)).build();
     assert!(g.vertices().all(|s| !rb_snap.shares_row_storage(&prev, s)));
     assert_cells_identical(&g, &snap, &rb_snap);
 }
@@ -277,8 +271,8 @@ fn patch_lists_match_full_build_on_every_family() {
 fn disconnecting_faults_and_repairs_match_rebuild() {
     let g = generators::cycle(8);
     let scheme = scheme_for(&g, 7);
-    let mut delta = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
-    let mut rebuild = ChurnPipeline::with_config(&scheme, rebuild_config()).unwrap();
+    let mut delta = ChurnPipeline::new(&scheme).unwrap();
+    let mut state = FaultState::for_graph(&g);
 
     let e0 = g.edge_between(0, 1).unwrap();
     let e4 = g.edge_between(4, 5).unwrap();
@@ -290,11 +284,9 @@ fn disconnecting_faults_and_repairs_match_rebuild() {
     ];
     for ev in events {
         delta.ingest(ev).unwrap();
-        rebuild.ingest(ev).unwrap();
-        let dr = delta.commit().unwrap();
-        let rr = rebuild.commit().unwrap();
-        assert!(dr.delta && !rr.delta);
-        assert_cells_identical(&g, &delta.published_snapshot(), &rebuild.published_snapshot());
+        state.apply(ev).unwrap();
+        assert!(delta.commit().unwrap().delta);
+        assert_cells_identical(&g, &delta.published_snapshot(), &full_build(&scheme, &state));
     }
     // The middle epoch really did disconnect something (test has teeth):
     // asserted via a fresh build at that fault set.
@@ -303,7 +295,6 @@ fn disconnecting_faults_and_repairs_match_rebuild() {
         .build();
     assert_eq!(cut.baseline(0).unwrap().dist(2), None);
     verify_converged(&delta).unwrap();
-    verify_converged(&rebuild).unwrap();
 }
 
 /// 1k-event soak: long delta chains (patch-of-patch-of-patch...) never
@@ -313,7 +304,7 @@ fn disconnecting_faults_and_repairs_match_rebuild() {
 fn soak_1k_events_converges_and_deltas_dominate() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
 
     let trace = random_trace_with(
         &g,
@@ -340,7 +331,7 @@ fn soak_1k_events_converges_and_deltas_dominate() {
 
     let health = pipeline.health();
     assert_eq!(health.published_seq, 1000);
-    assert_eq!(health.full_rebuilds, 0, "nothing should have escalated");
+    assert_eq!(health.full_rebuilds, 0, "no commit fell back to a full build");
     assert!(
         health.delta_commits * 10 >= health.commits * 9,
         "deltas must dominate: {} delta of {} commits ({} fallbacks: {:?})",
@@ -357,14 +348,13 @@ fn soak_1k_events_converges_and_deltas_dominate() {
 fn flaky_delta_panic_heals_via_full_build() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
     pipeline.set_build_probe(Some(flaky_delta_builder(1, 0)));
 
     pipeline.ingest(FaultEvent::Arrive(0)).unwrap();
     let report = pipeline.commit().unwrap();
     assert!(report.published);
     assert!(!report.delta, "the publish came from the fallback full build");
-    assert!(!report.full_rebuild, "no escalation was needed");
     assert_eq!(report.attempts, 2, "delta attempt + full-build attempt");
     let health = pipeline.health();
     assert_eq!(health.delta_fallbacks, 1);
@@ -390,7 +380,7 @@ fn flaky_delta_panic_heals_via_full_build() {
 fn cross_check_rejects_corrupted_delta() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
-    let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
     let epoch_before = pipeline.oracle().epoch();
     pipeline.set_build_probe(Some(flaky_delta_builder(0, 1)));
 
@@ -415,9 +405,9 @@ proptest! {
 
     /// THE delta-vs-rebuild equality property: random valid churn traces
     /// (arrivals + repairs + dense same-edge bursts, f ≤ 3) through a
-    /// delta-enabled and a rebuild-only pipeline, committed in the same
-    /// irregular batches — published snapshots are cell-by-cell
-    /// identical at every single epoch.
+    /// pipeline, committed in irregular batches — every published
+    /// snapshot is cell-by-cell identical to a fresh full build on the
+    /// same fault set.
     #[test]
     fn delta_and_rebuild_pipelines_publish_identical_snapshots(
         wseed in any::<u64>(),
@@ -427,8 +417,8 @@ proptest! {
     ) {
         let g = generators::grid(4, 4);
         let scheme = scheme_for(&g, wseed);
-        let mut delta = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
-        let mut rebuild = ChurnPipeline::with_config(&scheme, rebuild_config()).unwrap();
+        let mut delta = ChurnPipeline::new(&scheme).unwrap();
+        let mut state = FaultState::for_graph(&g);
 
         let opts = TraceOptions {
             burst: f64::from(burst_pct) / 100.0,
@@ -439,17 +429,14 @@ proptest! {
         for chunk in trace.chunks(batch_stride) {
             for &ev in chunk {
                 delta.ingest(ev).unwrap();
-                rebuild.ingest(ev).unwrap();
+                state.apply(ev).unwrap();
             }
             let dr = delta.commit().unwrap();
-            let rr = rebuild.commit().unwrap();
-            prop_assert_eq!(dr.epoch, rr.epoch);
-            prop_assert_eq!(dr.seq, rr.seq);
-            prop_assert!(!rr.delta, "the control arm must never delta");
-            assert_cells_identical(&g, &delta.published_snapshot(), &rebuild.published_snapshot());
+            prop_assert!(dr.published);
+            prop_assert_eq!(dr.seq, delta.accepted_seq());
+            assert_cells_identical(&g, &delta.published_snapshot(), &full_build(&scheme, &state));
         }
         verify_converged(&delta).unwrap();
-        verify_converged(&rebuild).unwrap();
         let health = delta.health();
         prop_assert!(
             health.delta_commits > 0,
@@ -468,18 +455,16 @@ proptest! {
         let m = (n + n / 2).min(n * (n - 1) / 2);
         let g = generators::connected_gnm(n, m, gseed);
         let scheme = scheme_for(&g, wseed);
-        let mut delta = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
-        let mut rebuild = ChurnPipeline::with_config(&scheme, rebuild_config()).unwrap();
+        let mut delta = ChurnPipeline::new(&scheme).unwrap();
+        let mut state = FaultState::for_graph(&g);
 
         let opts = TraceOptions { burst: 0.25, max_faults: Some(3), ..Default::default() };
         for &ev in &random_trace_with(&g, 20, tseed, opts) {
             delta.ingest(ev).unwrap();
-            rebuild.ingest(ev).unwrap();
+            state.apply(ev).unwrap();
             delta.commit().unwrap();
-            rebuild.commit().unwrap();
-            assert_cells_identical(&g, &delta.published_snapshot(), &rebuild.published_snapshot());
+            assert_cells_identical(&g, &delta.published_snapshot(), &full_build(&scheme, &state));
         }
         verify_converged(&delta).unwrap();
-        verify_converged(&rebuild).unwrap();
     }
 }
