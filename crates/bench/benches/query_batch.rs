@@ -1,27 +1,25 @@
-//! Batched multi-fault query benchmarks: the PR 2 per-query engine (one
+//! Batched multi-fault query benchmarks: the per-query engine (one
 //! reused `SearchScratch`, one full search per `(source, fault set)`
-//! query) versus the batch engine (`dijkstra_batch` / `bfs_batch`, which
-//! shares the settled search prefix between fault sets agreeing on the
-//! early frontier) versus the worker-pool fan-out (`dijkstra_batch_par`).
+//! query) versus the batch engine (`dijkstra_batch`, which shares the
+//! settled search prefix between fault sets agreeing on the early frontier
+//! and resumes from mid-run checkpoints).
 //!
 //! The workload mirrors the restorability/preserver access pattern: every
-//! query batch is `sources × (∅ + fault sets)` on a tie-rich grid under
-//! Theorem 20 perturbed `u128` costs, plus the unweighted BFS layer.
-//! Fault-set families cover both regimes:
+//! query batch is `sources × (∅ + fault sets)` under Theorem 20 perturbed
+//! `u128` costs. Four weighted families cover both regimes:
 //!
-//! * **singles** spread across the edge set (`8x33` groups) — the PR 3
-//!   baseline workload, directly diffable against `BENCH_3.json`;
+//! * **singles** spread across the edge set (`8x33` groups) on a tie-rich
+//!   grid and on a dense `G(n, m ≈ n^1.5)` — the PR 3 baseline workload,
+//!   directly diffable against `BENCH_3.json`;
 //! * **clustered `f = 2, 3` sets** (`f2`/`f3` groups) — the Bodwin–Wang
 //!   (arXiv:2309.07964) multi-fault trade-off regime: each set's edges sit
 //!   in one small neighborhood, so `prefix_len` is governed by the
 //!   cluster's distance from the source rather than by any single edge.
 //!
-//! `per_query` is the reused-scratch single-query engine (`query_engine`'s
-//! `inline_reuse` rows); `batched` is the batch engine with checkpointed
-//! resume (the default `CheckpointMode::Always`), `batched_nockpt` pins
-//! `CheckpointMode::Never` so the checkpoint win is its own diffable
-//! number. After the timed rows each weighted group prints its
-//! [`rsp_graph::BatchStats`] — how many queries the baseline answered
+//! Each family times two rows: `per_query` is the reused-scratch
+//! single-query engine (`query_engine`'s `inline_reuse` rows) and
+//! `batched` the batch engine. After the timed rows each family prints
+//! its [`rsp_graph::BatchStats`] — how many queries the baseline answered
 //! outright, how many restored a checkpoint, and how many relaxations the
 //! replay path re-executed — so prefix-sharing efficacy is measured, not
 //! inferred.
@@ -37,10 +35,7 @@ use std::ops::ControlFlow;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsp_core::RandomGridAtw;
-use rsp_graph::{
-    bfs_batch, bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, generators,
-    BatchScratch, CheckpointMode, FaultSet, Graph, SearchScratch, Vertex,
-};
+use rsp_graph::{dijkstra_batch, generators, BatchScratch, FaultSet, Graph, SearchScratch, Vertex};
 
 /// `∅` plus `queries` single faults spread across the edge set: most are
 /// far from any given source, which is exactly the prefix-sharing regime.
@@ -81,17 +76,14 @@ fn clustered_fault_batch(g: &Graph, f: usize, count: usize) -> Vec<FaultSet> {
         .collect()
 }
 
-/// One weighted group: `per_query` vs `batched` (checkpoints on, Auto) vs
-/// `batched_nockpt` (checkpoints off), then a stats print for the
-/// checkpointed configuration. `parallel_workers` adds `batched_par<w>`
-/// rows (the singles family keeps them for BENCH_3 diffability).
+/// One weighted group: `per_query` vs `batched`, then a stats print for
+/// the batch.
 fn bench_weighted_family(
     c: &mut Criterion,
     label: &str,
     g: &Graph,
     sources: &[Vertex],
     faults: &[FaultSet],
-    parallel_workers: &[usize],
 ) {
     let scheme = RandomGridAtw::theorem20(g, 42).into_scheme();
 
@@ -120,56 +112,24 @@ fn bench_weighted_family(
             reached
         })
     });
-    let mut nockpt =
-        BatchScratch::<u128>::with_capacity(g.n()).with_checkpoint_mode(CheckpointMode::Never);
-    group.bench_function("batched_nockpt", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut nockpt, |_, _, r| {
-                reached += r.reachable_count();
-                ControlFlow::Continue(())
-            });
-            reached
-        })
-    });
-    for &workers in parallel_workers {
-        group.bench_function(format!("batched_par{workers}"), |b| {
-            b.iter(|| {
-                dijkstra_batch_par(
-                    g,
-                    sources,
-                    faults,
-                    || scheme.directed_costs(),
-                    workers,
-                    |_, _, r| r.reachable_count(),
-                )
-                .into_iter()
-                .flatten()
-                .sum::<usize>()
-            })
-        });
-    }
     group.finish();
 
-    // One clean pass per configuration so the printed stats describe a
-    // single batch, not an iteration-count multiple.
+    // One clean pass per configuration    group.finish();
+
+    // One clean pass so the printed stats describe a single batch, not an
+    // iteration-count multiple.
     batch.reset_stats();
     dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut batch, |_, _, _| {
         ControlFlow::Continue(())
     });
     println!("{label}/batched stats: {}", batch.stats());
-    nockpt.reset_stats();
-    dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut nockpt, |_, _, _| {
-        ControlFlow::Continue(())
-    });
-    println!("{label}/batched_nockpt stats: {}", nockpt.stats());
 }
 
 fn bench_weighted(c: &mut Criterion) {
     let g = generators::grid(16, 16);
     let sources: Vec<Vertex> = (0..8).map(|i| i * g.n() / 8).collect();
     let faults = fault_batch(&g, 32);
-    bench_weighted_family(c, "query_batch/u128_grid16x16_8x33", &g, &sources, &faults, &[2, 4]);
+    bench_weighted_family(c, "query_batch/u128_grid16x16_8x33", &g, &sources, &faults);
 }
 
 /// The ROADMAP dense workload: `G(n, m ≈ n^1.5)`. Checkpointed resume
@@ -184,7 +144,7 @@ fn bench_weighted_dense(c: &mut Criterion) {
     let g = generators::connected_gnm(144, 1728, 7);
     let sources: Vec<Vertex> = (0..8).map(|i| i * g.n() / 8).collect();
     let faults = fault_batch(&g, 32);
-    bench_weighted_family(c, "query_batch/u128_gnm144_1728_8x33", &g, &sources, &faults, &[]);
+    bench_weighted_family(c, "query_batch/u128_gnm144_1728_8x33", &g, &sources, &faults);
 }
 
 /// The Bodwin–Wang multi-fault regime: clustered `f = 2, 3` fault sets.
@@ -194,49 +154,8 @@ fn bench_weighted_multifault(c: &mut Criterion) {
     for f in [2usize, 3] {
         let faults = clustered_fault_batch(&g, f, 16);
         let label = format!("query_batch/u128_grid16x16_f{f}_8x17");
-        bench_weighted_family(c, &label, &g, &sources, &faults, &[]);
+        bench_weighted_family(c, &label, &g, &sources, &faults);
     }
-}
-
-fn bench_bfs(c: &mut Criterion) {
-    let g = generators::grid(16, 16);
-    let sources: Vec<Vertex> = (0..8).map(|i| i * g.n() / 8).collect();
-    let faults = fault_batch(&g, 32);
-
-    let mut group = c.benchmark_group("query_batch/bfs_grid16x16_8x33");
-    let mut single = SearchScratch::<u32>::with_capacity(g.n());
-    group.bench_function("per_query", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            for &s in &sources {
-                for f in &faults {
-                    bfs_into(&g, s, f, &mut single);
-                    reached += single.reachable_count();
-                }
-            }
-            reached
-        })
-    });
-    let mut batch = BatchScratch::<u32>::with_capacity(g.n());
-    group.bench_function("batched", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            bfs_batch(&g, &sources, &faults, &mut batch, |_, _, r| {
-                reached += r.reachable_count();
-                ControlFlow::Continue(())
-            });
-            reached
-        })
-    });
-    group.bench_function("batched_par4", |b| {
-        b.iter(|| {
-            bfs_batch_par::<u32, _, _>(&g, &sources, &faults, 4, |_, _, r| r.reachable_count())
-                .into_iter()
-                .flatten()
-                .sum::<usize>()
-        })
-    });
-    group.finish();
 }
 
 fn config() -> Criterion {
@@ -246,6 +165,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_weighted, bench_weighted_dense, bench_weighted_multifault, bench_bfs
+    targets = bench_weighted, bench_weighted_dense, bench_weighted_multifault
 }
 criterion_main!(benches);

@@ -53,7 +53,7 @@
 //! | Module / item | Paper (PAPER.md) |
 //! |---|---|
 //! | [`Rpts`] | Definition 15: replacement-path tiebreaking scheme `π(s, t \| F)` |
-//! | [`Rpts::for_each_tree`] | batched query plane for the Section 3–4 sweeps (prefix sharing + checkpointed resume via `rsp_graph::dijkstra_batch`) |
+//! | [`Rpts::for_each_tree`] | batched query plane for the Section 3–4 sweeps (prefix sharing + checkpointed resume via `rsp_graph::dijkstra_batch` when a sweep has several fault sets; per-query search for one) |
 //! | [`ExactScheme`] | Theorem 19: the weight-induced consistent/stable/restorable scheme |
 //! | [`RandomGridAtw::theorem20`] | Theorem 20 (real sampling → exact fine grid) |
 //! | [`RandomGridAtw::corollary22`] | Corollary 22, isolation-lemma grid, `O(f log n)` bits |

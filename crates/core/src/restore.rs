@@ -82,7 +82,8 @@ pub fn restore_by_concatenation_with<S: Rpts>(
     subsets.sort_by_key(|f| f.len());
 
     // One batched sweep: all subset trees from `s` arrive first (sharing
-    // their settled search prefix — see `Rpts::for_each_tree`), then the
+    // their settled search prefix when there are several subsets — see
+    // `Rpts::for_each_tree`), then the
     // trees from `t`. As each `t` tree lands, its subset is complete, so
     // the midpoint scan runs immediately and a success breaks the sweep
     // before the remaining `t` trees are computed.

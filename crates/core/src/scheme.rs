@@ -160,9 +160,9 @@ pub trait Rpts {
     /// override it to share the settled search prefix between fault sets
     /// that agree on the early frontier, resuming from mid-run baseline
     /// checkpoints where the engine captured them (see
-    /// [`rsp_graph::dijkstra_batch`] and [`rsp_graph::CheckpointMode`]).
-    /// Either way the trees visited are identical to per-query
-    /// [`Rpts::tree_from`] calls.
+    /// [`rsp_graph::dijkstra_batch`]). A sweep over a single fault set has
+    /// no prefix to share, so it runs the per-query loop. Either way the
+    /// trees visited are identical to per-query [`Rpts::tree_from`] calls.
     fn for_each_tree(
         &self,
         sources: &[Vertex],
@@ -300,29 +300,35 @@ impl<C: PathCost + 'static> ExactScheme<C> {
 
     /// The scheme's stored per-direction costs as a borrowing
     /// [`rsp_graph::EdgeCostSource`], ready to hand to the raw query
-    /// engine ([`rsp_graph::dijkstra_into`], [`rsp_graph::dijkstra_batch`],
-    /// [`rsp_graph::dijkstra_batch_par`]).
+    /// engine ([`rsp_graph::dijkstra_into`], [`rsp_graph::dijkstra_batch`]).
     ///
     /// # Examples
     ///
     /// ```
+    /// use std::ops::ControlFlow;
     /// use rsp_core::{RandomGridAtw, Rpts};
-    /// use rsp_graph::{dijkstra_batch_par, generators, FaultSet};
+    /// use rsp_graph::{dijkstra_batch, generators, BatchScratch, FaultSet};
     ///
     /// let g = generators::grid(3, 3);
     /// let scheme = RandomGridAtw::theorem20(&g, 1).into_scheme();
     /// let sources: Vec<usize> = g.vertices().collect();
     /// let faults: Vec<FaultSet> = (0..g.m()).map(FaultSet::single).collect();
-    /// // One selected tree per (source, fault) query, four workers.
-    /// let hops = dijkstra_batch_par(
+    /// // One selected tree per (source, fault) query, in one batch.
+    /// let mut batch = BatchScratch::with_capacity(g.n());
+    /// let mut hops = Vec::new();
+    /// dijkstra_batch(
     ///     scheme.graph(),
     ///     &sources,
     ///     &faults,
-    ///     || scheme.directed_costs(),
-    ///     4,
-    ///     |_s, _f, result| result.hops(8),
+    ///     scheme.directed_costs(),
+    ///     &mut batch,
+    ///     |_s, _f, result| {
+    ///         hops.push(result.hops(8));
+    ///         ControlFlow::Continue(())
+    ///     },
     /// );
-    /// assert!(hops.iter().flatten().all(|h| h.is_some()), "grid survives one fault");
+    /// assert_eq!(hops.len(), sources.len() * faults.len());
+    /// assert!(hops.iter().all(|h| h.is_some()), "grid survives one fault");
     /// ```
     pub fn directed_costs(&self) -> DirectedCosts<'_, C> {
         DirectedCosts::new(&self.fwd, &self.bwd)
@@ -418,7 +424,10 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
         visitor: &mut dyn FnMut(usize, usize, BfsTree) -> ControlFlow<()>,
     ) {
         match scratch.downcast_mut::<ExactPayload<C>>() {
-            Some(p) => rsp_graph::dijkstra_batch(
+            // One fault set leaves nothing to share: the batch would pay
+            // for a fault-free baseline, its checkpoints and an O(m) edge
+            // index before its only query.
+            Some(p) if fault_sets.len() > 1 => rsp_graph::dijkstra_batch(
                 &self.graph,
                 sources,
                 fault_sets,
@@ -426,7 +435,7 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
                 &mut p.batch,
                 |si, fi, result| visitor(si, fi, result.to_bfs_tree()),
             ),
-            None => {
+            _ => {
                 for (si, &s) in sources.iter().enumerate() {
                     for (fi, faults) in fault_sets.iter().enumerate() {
                         let tree = self.tree_from_with(s, faults, scratch);
@@ -545,17 +554,21 @@ mod tests {
             .chain([FaultSet::from_edges([0, 2])])
             .collect();
         let mut scratch = s.new_scratch();
-        let mut visited = 0usize;
-        s.for_each_tree(&sources, &fault_sets, &mut scratch, &mut |si, fi, tree| {
-            visited += 1;
-            let plain = s.tree_from(sources[si], &fault_sets[fi]);
-            for t in g.vertices() {
-                assert_eq!(tree.dist(t), plain.dist(t), "s{si} f{fi} dist({t})");
-                assert_eq!(tree.parent(t), plain.parent(t), "s{si} f{fi} parent({t})");
-            }
-            ControlFlow::Continue(())
-        });
-        assert_eq!(visited, sources.len() * fault_sets.len());
+        // The batch (several fault sets) and the per-query loop (one set,
+        // here a single fault) must both visit the per-query trees.
+        for fault_sets in [&fault_sets[..], &fault_sets[1..2]] {
+            let mut visited = 0usize;
+            s.for_each_tree(&sources, fault_sets, &mut scratch, &mut |si, fi, tree| {
+                visited += 1;
+                let plain = s.tree_from(sources[si], &fault_sets[fi]);
+                for t in g.vertices() {
+                    assert_eq!(tree.dist(t), plain.dist(t), "s{si} f{fi} dist({t})");
+                    assert_eq!(tree.parent(t), plain.parent(t), "s{si} f{fi} parent({t})");
+                }
+                ControlFlow::Continue(())
+            });
+            assert_eq!(visited, sources.len() * fault_sets.len());
+        }
 
         // The unsupported-scratch fallback visits the same trees.
         let mut none = RptsScratch::unsupported();
@@ -565,7 +578,7 @@ mod tests {
             assert_eq!(tree.dist(sources[si]), Some(0), "f{fi} roots at its source");
             ControlFlow::Continue(())
         });
-        assert_eq!(fallback, visited);
+        assert_eq!(fallback, sources.len() * fault_sets.len());
     }
 
     #[test]

@@ -118,8 +118,8 @@ pub fn count_asymmetric_pairs<S: Rpts>(scheme: &S, faults: &FaultSet) -> usize {
 }
 
 /// All selected trees `π(s, · | F)` for `s` over the whole vertex set,
-/// computed through the batched [`Rpts::for_each_tree`] engine (one shared
-/// prefix per source when the scheme supports it).
+/// computed through [`Rpts::for_each_tree`] (one fault set, so one plain
+/// search per source).
 fn all_source_trees<S: Rpts>(
     scheme: &S,
     faults: &FaultSet,
@@ -142,7 +142,7 @@ fn all_source_trees<S: Rpts>(
 /// for one source are computed for all fault sets together, sharing the
 /// settled search prefix where the fault sets allow (resuming from
 /// mid-run checkpoints when the batch engine captured them — see
-/// `rsp_graph::CheckpointMode`).
+/// `rsp_graph::dijkstra_batch`).
 ///
 /// # Errors
 ///

@@ -14,15 +14,16 @@
 //!   first_examined(e)` bounds how many settle steps of the baseline are
 //!   provably identical in `G \ F`; the query **resumes** from that prefix
 //!   instead of starting over;
-//! * the weighted baseline is additionally **checkpointed** at a few
-//!   geometric settle depths (`n/8`, `n/4`, `n/2`): the open-frontier
-//!   state — tentative keys and the live heap entries — is snapshotted
-//!   mid-run.
+//! * the baseline is additionally **checkpointed** at a few geometric
+//!   settle depths (`n/8`, `n/4`, `n/2`, `3n/4`): the open-frontier state
+//!   — tentative keys and the live heap entries — is snapshotted mid-run.
 //!   A resume without a checkpoint must rebuild the step-`k` frontier by
 //!   replaying every prefix relaxation (`O(prefix edges)`); with the
 //!   deepest checkpoint at depth `d ≤ k`, the frontier starts from the
 //!   snapshot and only the `d..k` suffix is replayed — `O(frontier +
-//!   suffix edges)`. [`CheckpointMode::Never`] turns capture off;
+//!   suffix edges)`. Capture is unconditional: checkpointed resume is the
+//!   batch path measured faster than per-query search on dense graphs
+//!   (`BENCH_5`), while replay-only resume was not;
 //! * fault sets the baseline never examines (`k` = the whole settle order)
 //!   are answered by the baseline directly, with **zero** additional
 //!   traversal — the common case for local faults far from the source;
@@ -31,52 +32,34 @@
 //!   replay path re-executed, so prefix-sharing efficacy is measurable.
 //!
 //! Results are **byte-identical** to the single-query engine
-//! ([`crate::bfs_into`] / [`crate::dijkstra_into`]): same distances, costs,
-//! parents, settle order, and tie detection (the property suite in
+//! ([`crate::dijkstra_into`]): same costs, hop counts, parents, settle
+//! order, and tie detection (the property suite in
 //! `tests/batch_properties.rs` asserts this exhaustively).
 //!
-//! The worker-pool variants [`bfs_batch_par`] / [`dijkstra_batch_par`] fan
-//! sources out over `std::thread::scope` threads, one [`BatchScratch`] per
-//! worker, and return per-query extracted results in deterministic
-//! `sources × fault_sets` order regardless of worker count.
+//! The engine serves `rsp_core`'s `ExactScheme::for_each_tree` on sweeps
+//! over two or more fault sets (the verifiers, the restoration sweeps and
+//! the preserver builds). To fan
+//! sources out over workers, run [`crate::parallel_indexed`] with one
+//! scratch per worker.
 //!
 //! # Examples
 //!
-//! Batch BFS over all single-edge faults, reading results per query:
+//! Batch over every single-edge fault, reading results per query:
 //!
 //! ```
-//! use rsp_graph::{bfs_batch, generators, BatchScratch, FaultSet};
+//! use rsp_graph::{dijkstra_batch, generators, BatchScratch, FaultSet};
 //!
 //! let g = generators::grid(4, 4);
 //! let faults: Vec<FaultSet> = (0..g.m()).map(FaultSet::single).collect();
-//! let mut scratch = BatchScratch::<u32>::with_capacity(g.n());
+//! let cost = |e: usize, _u: usize, _v: usize| 100u64 + e as u64;
+//! let mut scratch = BatchScratch::<u64>::with_capacity(g.n());
 //! let mut reachable = 0usize;
-//! bfs_batch(&g, &[0, 15], &faults, &mut scratch, |_s, _f, result| {
+//! dijkstra_batch(&g, &[0, 15], &faults, cost, &mut scratch, |_s, _f, result| {
 //!     reachable += result.reachable_count();
 //!     std::ops::ControlFlow::Continue(())
 //! });
 //! // A 4×4 grid stays connected under any single fault.
 //! assert_eq!(reachable, 2 * g.m() * g.n());
-//! ```
-//!
-//! Parallel weighted batch, extracting one cost per query:
-//!
-//! ```
-//! use rsp_graph::{dijkstra_batch_par, generators, FaultSet};
-//!
-//! let g = generators::cycle(6);
-//! let faults = [FaultSet::empty(), FaultSet::single(0)];
-//! let costs = dijkstra_batch_par(
-//!     &g,
-//!     &[0, 3],
-//!     &faults,
-//!     || |e: usize, _u: usize, _v: usize| 10u64 + e as u64,
-//!     2,
-//!     |_s, _f, result| result.cost(1).copied(),
-//! );
-//! assert_eq!(costs.len(), 2); // one row per source
-//! assert_eq!(costs[0][0], Some(10)); // 0 → 1 over edge 0
-//! assert!(costs[0][1].unwrap() > 10); // edge 0 failed: the long way round
 //! ```
 
 use std::cmp::Reverse;
@@ -87,10 +70,9 @@ use rsp_arith::PathCost;
 
 use crate::fault::FaultSet;
 use crate::graph::{EdgeId, Graph, Vertex};
-use crate::pool::parallel_indexed;
 use crate::scratch::{
-    bfs_observed, bfs_run, dijkstra_observed, dijkstra_run, dijkstra_seed, relax, EdgeCostSource,
-    NoObserver, SearchObserver, SearchScratch, OPEN, SETTLED,
+    dijkstra_into, dijkstra_run, dijkstra_seed, relax, EdgeCostSource, NoObserver, SearchObserver,
+    SearchScratch, OPEN, SETTLED,
 };
 
 /// Checkpoints shallower than this many settle steps are not worth the
@@ -108,13 +90,11 @@ impl<C: PathCost, T: EdgeCostSource<C>> EdgeCostSource<C> for ByRef<'_, T> {
     }
 }
 
-/// Records the baseline run's settle order and per-step progress.
+/// Records the baseline run's settle order and per-step tie flag.
 struct Recorder<'a> {
     settle_order: &'a mut Vec<u32>,
     /// `ties_prefix[j]`: cumulative tie flag after `j` settle steps.
     ties_prefix: &'a mut Vec<bool>,
-    /// `reach_after[j]`: vertices discovered after `j` settle steps.
-    reach_after: &'a mut Vec<usize>,
 }
 
 impl SearchObserver for Recorder<'_> {
@@ -124,65 +104,16 @@ impl SearchObserver for Recorder<'_> {
     }
 
     #[inline]
-    fn relaxed(&mut self, reached: usize, ties: bool) {
+    fn relaxed(&mut self, ties: bool) {
         self.ties_prefix.push(ties);
-        self.reach_after.push(reached);
     }
 }
 
-/// When the weighted batch engine snapshots baseline search state for
-/// checkpointed resume.
-///
-/// The default, [`CheckpointMode::Always`], checkpoints at every
-/// reachable depth; [`CheckpointMode::Never`] resumes every query by
-/// relaxation replay. The property suites use both to pin checkpointed and
-/// checkpoint-free resume against each other.
-///
-/// # Examples
-///
-/// Results never depend on the mode — only the resume route (visible in
-/// [`BatchStats`]) does:
-///
-/// ```
-/// use std::ops::ControlFlow;
-/// use rsp_graph::{dijkstra_batch, generators, BatchScratch, CheckpointMode, FaultSet};
-///
-/// let g = generators::grid(8, 8);
-/// let faults: Vec<FaultSet> = (0..g.m()).map(FaultSet::single).collect();
-/// let cost = |e: usize, _: usize, _: usize| 100u64 + e as u64;
-/// let mut costs = Vec::new();
-/// for mode in [CheckpointMode::Always, CheckpointMode::Never] {
-///     let mut scratch = BatchScratch::<u64>::new().with_checkpoint_mode(mode);
-///     let mut row = Vec::new();
-///     dijkstra_batch(&g, &[0], &faults, cost, &mut scratch, |_, _, r| {
-///         row.push(r.cost(63).copied());
-///         ControlFlow::Continue(())
-///     });
-///     if mode == CheckpointMode::Always {
-///         assert!(scratch.stats().checkpoints_captured > 0);
-///     } else {
-///         assert_eq!(scratch.stats().checkpoints_captured, 0);
-///     }
-///     costs.push(row);
-/// }
-/// assert_eq!(costs[0], costs[1], "modes are byte-identical");
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CheckpointMode {
-    /// Checkpoint whenever a depth is reachable.
-    #[default]
-    Always,
-    /// Never checkpoint; every resume uses the relaxation-replay path.
-    Never,
-}
-
 /// Counters describing how a batch's queries were answered; read them via
-/// [`BatchScratch::stats`] after [`bfs_batch`] / [`dijkstra_batch`].
+/// [`BatchScratch::stats`] after [`dijkstra_batch`].
 ///
 /// Counts accumulate across batch calls on the same scratch (so a bench
 /// can total over iterations); [`BatchScratch::reset_stats`] zeroes them.
-/// The worker-pool variants own their scratches internally and do not
-/// expose stats.
 ///
 /// # Examples
 ///
@@ -191,12 +122,13 @@ pub enum CheckpointMode {
 ///
 /// ```
 /// use std::ops::ControlFlow;
-/// use rsp_graph::{bfs_batch, generators, BatchScratch, FaultSet};
+/// use rsp_graph::{dijkstra_batch, generators, BatchScratch, FaultSet};
 ///
 /// let g = generators::grid(5, 5);
 /// let faults: Vec<FaultSet> = (0..g.m()).map(FaultSet::single).collect();
-/// let mut scratch = BatchScratch::<u32>::new();
-/// bfs_batch(&g, &[0, 24], &faults, &mut scratch, |_, _, _| ControlFlow::Continue(()));
+/// let cost = |e: usize, _: usize, _: usize| 100u64 + e as u64;
+/// let mut scratch = BatchScratch::<u64>::new();
+/// dijkstra_batch(&g, &[0, 24], &faults, cost, &mut scratch, |_, _, _| ControlFlow::Continue(()));
 /// let stats = scratch.stats();
 /// assert_eq!(stats.queries, 2 * faults.len());
 /// assert_eq!(
@@ -215,11 +147,11 @@ pub struct BatchStats {
     /// the baseline run outright, zero additional traversal.
     pub baseline_answered: usize,
     /// Queries resumed by restoring a mid-run checkpoint and continuing
-    /// the search (weighted only).
+    /// the search.
     pub checkpoint_resumed: usize,
     /// Queries resumed by copying the settled prefix and replaying its
     /// frontier relaxations (no checkpoint at or before the divergence
-    /// step, or checkpointing disabled).
+    /// step).
     pub prefix_resumed: usize,
     /// Queries with a fault incident to the source's first settle step:
     /// nothing to reuse, full search from scratch.
@@ -276,31 +208,24 @@ struct Checkpoint<C> {
 ///
 /// Holds the instrumented fault-free baseline run plus a second
 /// [`SearchScratch`] that faulted queries resume into. One `BatchScratch`
-/// serves any number of [`bfs_batch`] / [`dijkstra_batch`] calls (and any
-/// number of sources within a call — the baseline is rebuilt per source).
-///
-/// The cost type parameter defaults to `u32` for unweighted (BFS-only) use.
+/// serves any number of [`dijkstra_batch`] calls (and any number of
+/// sources within a call — the baseline is rebuilt per source).
 #[derive(Clone, Debug)]
-pub struct BatchScratch<C = u32> {
+pub struct BatchScratch<C> {
     /// The fault-free run for the current source.
     baseline: SearchScratch<C>,
     /// Target scratch for resumed (faulted) queries.
     resume: SearchScratch<C>,
-    /// Baseline settle order (BFS: dequeue order; Dijkstra: pop order),
-    /// stored-width ids.
+    /// Baseline settle (heap pop) order, stored-width ids.
     settle_order: Vec<u32>,
     /// Cumulative tie flag after each settle step; `ties_prefix[0] = false`.
     ties_prefix: Vec<bool>,
-    /// Discovered-vertex count after each settle step; `reach_after[0] = 1`.
-    reach_after: Vec<usize>,
     /// Per edge: the settle step at which the baseline first examines it,
     /// or `u32::MAX` if it never does.
     first_examined: Vec<u32>,
     /// Mid-run baseline snapshots for the current source, ascending by
-    /// depth (weighted baselines only).
+    /// depth.
     checkpoints: Vec<Checkpoint<C>>,
-    /// Checkpoint capture policy.
-    mode: CheckpointMode,
     /// How queries have been answered so far (cumulative).
     stats: BatchStats,
 }
@@ -319,10 +244,8 @@ impl<C: PathCost> BatchScratch<C> {
             resume: SearchScratch::new(),
             settle_order: Vec::new(),
             ties_prefix: Vec::new(),
-            reach_after: Vec::new(),
             first_examined: Vec::new(),
             checkpoints: Vec::new(),
-            mode: CheckpointMode::default(),
             stats: BatchStats::default(),
         }
     }
@@ -334,29 +257,10 @@ impl<C: PathCost> BatchScratch<C> {
             resume: SearchScratch::with_capacity(n),
             settle_order: Vec::with_capacity(n),
             ties_prefix: Vec::with_capacity(n + 1),
-            reach_after: Vec::with_capacity(n + 1),
             first_examined: Vec::new(),
             checkpoints: Vec::new(),
-            mode: CheckpointMode::default(),
             stats: BatchStats::default(),
         }
-    }
-
-    /// Sets the checkpoint capture policy (see [`CheckpointMode`]);
-    /// builder-style companion of [`BatchScratch::set_checkpoint_mode`].
-    pub fn with_checkpoint_mode(mut self, mode: CheckpointMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the checkpoint capture policy for subsequent batch calls.
-    pub fn set_checkpoint_mode(&mut self, mode: CheckpointMode) {
-        self.mode = mode;
-    }
-
-    /// The current checkpoint capture policy.
-    pub fn checkpoint_mode(&self) -> CheckpointMode {
-        self.mode
     }
 
     /// How queries have been answered so far (cumulative across batch
@@ -397,8 +301,6 @@ impl<C: PathCost> BatchScratch<C> {
         self.settle_order.clear();
         self.ties_prefix.clear();
         self.ties_prefix.push(false);
-        self.reach_after.clear();
-        self.reach_after.push(1);
         self.checkpoints.clear();
     }
 
@@ -461,31 +363,6 @@ impl<C: PathCost> BatchScratch<C> {
         k
     }
 
-    /// Resumes a BFS query against `faults` from the `k`-step baseline
-    /// prefix: the first `reach_after[k]` discovered vertices are copied
-    /// verbatim, the still-queued ones re-enter the frontier, and the
-    /// traversal continues with `faults` active.
-    fn resume_bfs(&mut self, g: &Graph, faults: &FaultSet, k: usize) {
-        let base = &self.baseline;
-        let out = &mut self.resume;
-        let reach = self.reach_after[k];
-        out.begin(g.n(), base.source, false);
-        let epoch = out.epoch;
-        for &v in &base.touched[..reach] {
-            let vi = v as usize;
-            out.stamp[vi] = epoch;
-            out.hops[vi] = base.hops[vi];
-            out.parent[vi] = base.parent[vi];
-            out.touched.push(v);
-        }
-        // BFS settles in discovery order, so after k dequeues the frontier
-        // is exactly the discovered-but-not-dequeued span of the prefix.
-        for &v in &base.touched[k..reach] {
-            out.queue.push_back(v);
-        }
-        bfs_run(g, faults, out, &mut NoObserver);
-    }
-
     /// Resumes a Dijkstra query against `faults` that diverges from the
     /// baseline at settle step `k`, picking the cheapest sound route:
     ///
@@ -511,14 +388,7 @@ impl<C: PathCost> BatchScratch<C> {
         if k == 0 {
             // A faulted edge is incident to the source: nothing to reuse.
             self.stats.full_searches += 1;
-            dijkstra_observed(
-                g,
-                self.baseline.source,
-                faults,
-                costs,
-                &mut self.resume,
-                &mut NoObserver,
-            );
+            dijkstra_into(g, self.baseline.source, faults, costs, &mut self.resume);
             return;
         }
         let ci = self.checkpoints.iter().rposition(|cp| cp.depth <= k);
@@ -603,62 +473,6 @@ impl<C: PathCost> BatchScratch<C> {
     }
 }
 
-/// Runs BFS for every query in `sources × fault_sets`, sharing the settled
-/// search prefix between fault sets that agree on the early frontier.
-///
-/// `visitor` is called once per query, in source-major order
-/// (`(0, 0), (0, 1), …, (1, 0), …`), with the source index, fault-set
-/// index, and the scratch holding that query's complete result. Results
-/// are byte-identical to running [`crate::bfs_into`] per query; the view
-/// is only valid for the duration of the callback. Returning
-/// [`ControlFlow::Break`] stops the batch immediately (remaining queries
-/// are never computed) — searches and early-exiting sweeps use this.
-///
-/// # Panics
-///
-/// Panics if any source is out of range.
-pub fn bfs_batch<C, V>(
-    g: &Graph,
-    sources: &[Vertex],
-    fault_sets: &[FaultSet],
-    scratch: &mut BatchScratch<C>,
-    mut visitor: V,
-) where
-    C: PathCost,
-    V: FnMut(usize, usize, &SearchScratch<C>) -> ControlFlow<()>,
-{
-    for (si, &s) in sources.iter().enumerate() {
-        scratch.begin_source();
-        let BatchScratch { baseline, settle_order, ties_prefix, reach_after, .. } = scratch;
-        let mut rec = Recorder { settle_order, ties_prefix, reach_after };
-        bfs_observed(g, s, &FaultSet::empty(), baseline, &mut rec);
-        scratch.index_edges(g);
-        for (fi, faults) in fault_sets.iter().enumerate() {
-            let k = scratch.prefix_len(faults);
-            scratch.stats.queries += 1;
-            let flow = if k >= scratch.settle_order.len() {
-                // No faulted edge is ever examined: the baseline answers.
-                scratch.stats.baseline_answered += 1;
-                visitor(si, fi, &scratch.baseline)
-            } else {
-                // BFS resume is already `O(prefix + frontier)` with zero
-                // replay (the frontier is a contiguous span of the
-                // discovery order), so it never checkpoints.
-                if k == 0 {
-                    scratch.stats.full_searches += 1;
-                } else {
-                    scratch.stats.prefix_resumed += 1;
-                }
-                scratch.resume_bfs(g, faults, k);
-                visitor(si, fi, &scratch.resume)
-            };
-            if flow.is_break() {
-                return;
-            }
-        }
-    }
-}
-
 /// Runs exact-cost Dijkstra for every query in `sources × fault_sets`,
 /// sharing the settled search prefix between fault sets that agree on the
 /// early frontier.
@@ -727,21 +541,19 @@ pub fn dijkstra_batch<C, F, V>(
         // segment drains the heap; if the graph is exhausted before a
         // depth is reached, the remaining depths are simply not captured.
         dijkstra_seed(g, s, &mut scratch.baseline);
-        if scratch.mode == CheckpointMode::Always {
-            for d in BatchScratch::<C>::checkpoint_depths(g.n()) {
-                let settled = scratch.settle_order.len();
-                let BatchScratch { baseline, settle_order, ties_prefix, reach_after, .. } = scratch;
-                let mut rec = Recorder { settle_order, ties_prefix, reach_after };
-                dijkstra_run(g, &no_faults, ByRef(&mut costs), baseline, &mut rec, d - settled);
-                if scratch.settle_order.len() < d {
-                    break;
-                }
-                scratch.capture_checkpoint(d);
+        for d in BatchScratch::<C>::checkpoint_depths(g.n()) {
+            let settled = scratch.settle_order.len();
+            let BatchScratch { baseline, settle_order, ties_prefix, .. } = scratch;
+            let mut rec = Recorder { settle_order, ties_prefix };
+            dijkstra_run(g, &no_faults, ByRef(&mut costs), baseline, &mut rec, d - settled);
+            if scratch.settle_order.len() < d {
+                break;
             }
+            scratch.capture_checkpoint(d);
         }
         {
-            let BatchScratch { baseline, settle_order, ties_prefix, reach_after, .. } = scratch;
-            let mut rec = Recorder { settle_order, ties_prefix, reach_after };
+            let BatchScratch { baseline, settle_order, ties_prefix, .. } = scratch;
+            let mut rec = Recorder { settle_order, ties_prefix };
             dijkstra_run(g, &no_faults, ByRef(&mut costs), baseline, &mut rec, usize::MAX);
         }
         scratch.index_edges(g);
@@ -762,90 +574,12 @@ pub fn dijkstra_batch<C, F, V>(
     }
 }
 
-/// [`bfs_batch`] with sources fanned out over a worker pool.
-///
-/// Each worker owns one [`BatchScratch`]; `map` extracts a per-query result
-/// from the borrowed scratch view. Returns one row per source, each row
-/// holding one extracted value per fault set — identical content in
-/// identical order for every worker count (including 1, which runs inline
-/// on the calling thread).
-pub fn bfs_batch_par<C, M, R>(
-    g: &Graph,
-    sources: &[Vertex],
-    fault_sets: &[FaultSet],
-    workers: usize,
-    map: M,
-) -> Vec<Vec<R>>
-where
-    C: PathCost,
-    M: Fn(usize, usize, &SearchScratch<C>) -> R + Sync,
-    R: Send,
-{
-    parallel_indexed(
-        sources.len(),
-        workers,
-        |_| BatchScratch::<C>::with_capacity(g.n()),
-        |scratch, i| {
-            let mut row = Vec::with_capacity(fault_sets.len());
-            bfs_batch(g, &sources[i..=i], fault_sets, scratch, |_, fi, result| {
-                row.push(map(i, fi, result));
-                ControlFlow::Continue(())
-            });
-            row
-        },
-    )
-}
-
-/// [`dijkstra_batch`] with sources fanned out over a worker pool.
-///
-/// `make_costs` builds one cost source per source queried (workers cannot
-/// share one `&mut` cost source); `map` extracts a per-query result from
-/// the borrowed scratch view. Returns one row per source, each row holding
-/// one extracted value per fault set — identical content in identical
-/// order for every worker count (including 1, which runs inline on the
-/// calling thread).
-pub fn dijkstra_batch_par<C, MF, F, M, R>(
-    g: &Graph,
-    sources: &[Vertex],
-    fault_sets: &[FaultSet],
-    make_costs: MF,
-    workers: usize,
-    map: M,
-) -> Vec<Vec<R>>
-where
-    C: PathCost,
-    MF: Fn() -> F + Sync,
-    F: EdgeCostSource<C>,
-    M: Fn(usize, usize, &SearchScratch<C>) -> R + Sync,
-    R: Send,
-{
-    parallel_indexed(
-        sources.len(),
-        workers,
-        |_| BatchScratch::<C>::with_capacity(g.n()),
-        |scratch, i| {
-            let mut row = Vec::with_capacity(fault_sets.len());
-            dijkstra_batch(
-                g,
-                &sources[i..=i],
-                fault_sets,
-                make_costs(),
-                scratch,
-                |_, fi, result| {
-                    row.push(map(i, fi, result));
-                    ControlFlow::Continue(())
-                },
-            );
-            row
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::scratch::{bfs_into, dijkstra_into, DirectedCosts};
+    use crate::pool::parallel_indexed;
+    use crate::scratch::DirectedCosts;
 
     /// All single faults plus the empty set plus some doubles, in an order
     /// that interleaves near-source and far-from-source faults.
@@ -856,6 +590,12 @@ mod tests {
             fs.push(FaultSet::from_edges([e, g.m() - 1 - e / 2]));
         }
         fs
+    }
+
+    /// Per-edge, per-direction `u64` costs close enough to collide now and
+    /// then, so tie flags are part of every comparison.
+    fn cost(e: EdgeId, u: Vertex, v: Vertex) -> u64 {
+        500 + (e as u64 % 5) + u64::from(u < v)
     }
 
     fn assert_scratches_equal<C: PathCost>(
@@ -871,21 +611,6 @@ mod tests {
         }
         assert_eq!(batch.ties_detected(), single.ties_detected(), "{ctx}: ties");
         assert_eq!(batch.reachable_count(), single.reachable_count(), "{ctx}: reached");
-    }
-
-    #[test]
-    fn bfs_batch_matches_single_queries() {
-        for g in [generators::grid(4, 5), generators::petersen(), generators::path_graph(9)] {
-            let fault_sets = mixed_fault_sets(&g);
-            let sources: Vec<Vertex> = vec![0, g.n() / 2, g.n() - 1];
-            let mut batch = BatchScratch::<u32>::new();
-            let mut single = SearchScratch::<u32>::new();
-            bfs_batch(&g, &sources, &fault_sets, &mut batch, |si, fi, result| {
-                bfs_into(&g, sources[si], &fault_sets[fi], &mut single);
-                assert_scratches_equal(&g, result, &single, &format!("bfs s{si} f{fi}"));
-                ControlFlow::Continue(())
-            });
-        }
     }
 
     #[test]
@@ -953,10 +678,10 @@ mod tests {
     fn disconnecting_faults_are_exact() {
         let g = generators::path_graph(8);
         let fault_sets = mixed_fault_sets(&g);
-        let mut batch = BatchScratch::<u32>::new();
-        let mut single = SearchScratch::<u32>::new();
-        bfs_batch(&g, &[0, 3, 7], &fault_sets, &mut batch, |si, fi, result| {
-            bfs_into(&g, [0, 3, 7][si], &fault_sets[fi], &mut single);
+        let mut batch = BatchScratch::<u64>::new();
+        let mut single = SearchScratch::<u64>::new();
+        dijkstra_batch(&g, &[0, 3, 7], &fault_sets, cost, &mut batch, |si, fi, result| {
+            dijkstra_into(&g, [0, 3, 7][si], &fault_sets[fi], cost, &mut single);
             assert_scratches_equal(&g, result, &single, &format!("path s{si} f{fi}"));
             ControlFlow::Continue(())
         });
@@ -993,44 +718,44 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_for_all_worker_counts() {
+        // One batch scratch per worker, one source per job: every worker
+        // count reproduces the sequential batch over all sources.
         let g = generators::grid(4, 4);
         let fault_sets = mixed_fault_sets(&g);
         let sources: Vec<Vertex> = g.vertices().collect();
         let cost = |e: EdgeId, _: Vertex, _: Vertex| 100u64 + e as u64;
-        let baseline = dijkstra_batch_par(
-            &g,
-            &sources,
-            &fault_sets,
-            || cost,
-            1,
-            |_, _, r| (r.cost(15).copied(), r.hops(15), r.ties_detected()),
-        );
-        for workers in [2, 8] {
-            let par = dijkstra_batch_par(
-                &g,
-                &sources,
-                &fault_sets,
-                || cost,
+        let cell = |r: &SearchScratch<u64>| (r.cost(15).copied(), r.hops(15), r.ties_detected());
+        let mut sequential = vec![Vec::new(); sources.len()];
+        dijkstra_batch(&g, &sources, &fault_sets, cost, &mut BatchScratch::new(), |si, _, r| {
+            sequential[si].push(cell(r));
+            ControlFlow::Continue(())
+        });
+        for workers in [1, 2, 8] {
+            let par = parallel_indexed(
+                sources.len(),
                 workers,
-                |_, _, r| (r.cost(15).copied(), r.hops(15), r.ties_detected()),
+                |_| BatchScratch::<u64>::with_capacity(g.n()),
+                |batch, i| {
+                    let mut row = Vec::with_capacity(fault_sets.len());
+                    dijkstra_batch(&g, &sources[i..=i], &fault_sets, cost, batch, |_, _, r| {
+                        row.push(cell(r));
+                        ControlFlow::Continue(())
+                    });
+                    row
+                },
             );
-            assert_eq!(par, baseline, "workers = {workers}");
+            assert_eq!(par, sequential, "workers = {workers}");
         }
-        let bfs_base =
-            bfs_batch_par::<u32, _, _>(&g, &sources, &fault_sets, 1, |_, _, r| r.reachable_count());
-        let bfs_par =
-            bfs_batch_par::<u32, _, _>(&g, &sources, &fault_sets, 8, |_, _, r| r.reachable_count());
-        assert_eq!(bfs_par, bfs_base);
     }
 
     #[test]
     fn batch_scratch_survives_graph_switches() {
-        let mut batch = BatchScratch::<u32>::new();
+        let mut batch = BatchScratch::<u64>::new();
         for g in [generators::grid(5, 5), generators::cycle(4), generators::complete(7)] {
             let fault_sets = mixed_fault_sets(&g);
-            let mut single = SearchScratch::<u32>::new();
-            bfs_batch(&g, &[0], &fault_sets, &mut batch, |_, fi, result| {
-                bfs_into(&g, 0, &fault_sets[fi], &mut single);
+            let mut single = SearchScratch::<u64>::new();
+            dijkstra_batch(&g, &[0], &fault_sets, cost, &mut batch, |_, fi, result| {
+                dijkstra_into(&g, 0, &fault_sets[fi], cost, &mut single);
                 assert_scratches_equal(&g, result, &single, &format!("switch f{fi}"));
                 ControlFlow::Continue(())
             });
@@ -1041,9 +766,9 @@ mod tests {
     fn break_stops_the_batch() {
         let g = generators::grid(3, 3);
         let fault_sets = mixed_fault_sets(&g);
-        let mut batch = BatchScratch::<u32>::new();
+        let mut batch = BatchScratch::<u64>::new();
         let mut seen = 0usize;
-        bfs_batch(&g, &[0, 4], &fault_sets, &mut batch, |si, fi, _| {
+        dijkstra_batch(&g, &[0, 4], &fault_sets, cost, &mut batch, |si, fi, _| {
             seen += 1;
             if (si, fi) == (0, 2) {
                 ControlFlow::Break(())
@@ -1052,46 +777,42 @@ mod tests {
             }
         });
         assert_eq!(seen, 3, "queries after the break must never run");
+        assert_eq!(batch.stats().queries, 3);
     }
 
     #[test]
     fn checkpoint_modes_agree_with_each_other_and_single_queries() {
-        // 16×4 grid (n = 64): depths 8, 16, 32 all capture. Every mode
-        // must produce the single-query engine's exact results.
+        // 16×4 grid (n = 64): depths 8, 16, 32, 48 all capture. One batch
+        // answers queries by every route — the baseline outright, a
+        // restored checkpoint, a replay from step 0 (divergence before the
+        // first checkpoint), and a full search (source-incident fault) —
+        // and every route must produce the single-query engine's result.
         let g = generators::grid(16, 4);
         let fault_sets = mixed_fault_sets(&g);
         let sources: Vec<Vertex> = vec![0, 31, 63];
-        let cost = |e: EdgeId, u: Vertex, v: Vertex| 500u64 + (e as u64 % 5) + u64::from(u < v);
         let mut single = SearchScratch::<u64>::new();
-        for mode in [CheckpointMode::Always, CheckpointMode::Never] {
-            let mut batch = BatchScratch::<u64>::new().with_checkpoint_mode(mode);
-            dijkstra_batch(&g, &sources, &fault_sets, cost, &mut batch, |si, fi, result| {
-                dijkstra_into(&g, sources[si], &fault_sets[fi], cost, &mut single);
-                assert_scratches_equal(&g, result, &single, &format!("{mode:?} s{si} f{fi}"));
-                ControlFlow::Continue(())
-            });
-            let stats = batch.stats();
-            assert_eq!(stats.queries, sources.len() * fault_sets.len());
-            assert_eq!(
-                stats.queries,
-                stats.baseline_answered
-                    + stats.checkpoint_resumed
-                    + stats.prefix_resumed
-                    + stats.full_searches,
-                "every query is counted exactly once ({mode:?})"
-            );
-            match mode {
-                CheckpointMode::Never => {
-                    assert_eq!(stats.checkpoints_captured, 0);
-                    assert_eq!(stats.checkpoint_resumed, 0);
-                }
-                // n = 64: depths 8, 16, 32, 48 all capture.
-                CheckpointMode::Always => {
-                    assert_eq!(stats.checkpoints_captured, 4 * sources.len());
-                    assert!(stats.checkpoint_resumed > 0, "deep faults restore checkpoints");
-                }
-            }
-        }
+        let mut batch = BatchScratch::<u64>::new();
+        dijkstra_batch(&g, &sources, &fault_sets, cost, &mut batch, |si, fi, result| {
+            dijkstra_into(&g, sources[si], &fault_sets[fi], cost, &mut single);
+            assert_scratches_equal(&g, result, &single, &format!("s{si} f{fi}"));
+            ControlFlow::Continue(())
+        });
+        let stats = batch.stats();
+        assert_eq!(stats.queries, sources.len() * fault_sets.len());
+        assert_eq!(
+            stats.queries,
+            stats.baseline_answered
+                + stats.checkpoint_resumed
+                + stats.prefix_resumed
+                + stats.full_searches,
+            "every query is counted exactly once"
+        );
+        assert_eq!(stats.checkpoints_captured, 4 * sources.len());
+        assert!(stats.baseline_answered > 0, "the empty set is answered by the baseline");
+        assert!(stats.checkpoint_resumed > 0, "deep faults restore checkpoints");
+        assert!(stats.prefix_resumed > 0, "shallow faults replay from step 0");
+        assert!(stats.full_searches > 0, "source-incident faults search from scratch");
+        assert!(stats.replayed_relaxations > 0);
     }
 
     #[test]
@@ -1105,8 +826,8 @@ mod tests {
         let fault_sets = mixed_fault_sets(&g);
         let mut single = SearchScratch::<BigInt>::new();
 
-        // A 36-vertex BigInt workload: the default mode snapshots and
-        // restores heavyweight costs too, byte-identical to single queries.
+        // A 36-vertex BigInt workload: checkpoints snapshot and restore
+        // heavyweight costs too, byte-identical to single queries.
         let mut batch = BatchScratch::<BigInt>::new();
         dijkstra_batch(
             &g,
@@ -1125,18 +846,23 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_bfs_queries_and_reset() {
+    fn stats_count_queries_and_reset() {
         let g = generators::grid(4, 4);
         let fault_sets = mixed_fault_sets(&g);
-        let mut batch = BatchScratch::<u32>::new();
-        bfs_batch(&g, &[0, 15], &fault_sets, &mut batch, |_, _, _| ControlFlow::Continue(()));
+        let mut batch = BatchScratch::<u64>::new();
+        dijkstra_batch(&g, &[0, 15], &fault_sets, cost, &mut batch, |_, _, _| {
+            ControlFlow::Continue(())
+        });
         let stats = batch.stats().clone();
         assert_eq!(stats.queries, 2 * fault_sets.len());
         assert_eq!(
             stats.queries,
-            stats.baseline_answered + stats.prefix_resumed + stats.full_searches
+            stats.baseline_answered
+                + stats.checkpoint_resumed
+                + stats.prefix_resumed
+                + stats.full_searches
         );
-        assert_eq!(stats.checkpoints_captured, 0, "BFS never checkpoints");
+        assert_eq!(stats.checkpoints_captured, 2 * 2, "n = 16: depths 8 and 12, per source");
         assert_eq!(stats.reused(), stats.queries - stats.full_searches);
         assert!(!format!("{stats}").is_empty());
 
@@ -1148,7 +874,7 @@ mod tests {
     fn checkpoints_survive_source_and_graph_switches() {
         // Checkpoints captured for one source must never leak into the
         // next source's (or next graph's) resumes.
-        let mut batch = BatchScratch::<u64>::new().with_checkpoint_mode(CheckpointMode::Always);
+        let mut batch = BatchScratch::<u64>::new();
         let mut single = SearchScratch::<u64>::new();
         for g in [generators::grid(8, 8), generators::cycle(40), generators::grid(3, 3)] {
             let fault_sets = mixed_fault_sets(&g);
@@ -1165,16 +891,15 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let g = generators::cycle(4);
-        let mut batch = BatchScratch::<u32>::new();
+        let mut batch = BatchScratch::<u64>::new();
         let mut calls = 0;
-        let mut count = |_: usize, _: usize, _: &SearchScratch<u32>| {
+        let mut count = |_: usize, _: usize, _: &SearchScratch<u64>| {
             calls += 1;
             ControlFlow::Continue(())
         };
-        bfs_batch(&g, &[], &[FaultSet::empty()], &mut batch, &mut count);
-        bfs_batch(&g, &[0], &[], &mut batch, &mut count);
+        dijkstra_batch(&g, &[], &[FaultSet::empty()], cost, &mut batch, &mut count);
+        dijkstra_batch(&g, &[0], &[], cost, &mut batch, &mut count);
         assert_eq!(calls, 0);
-        let out = bfs_batch_par::<u32, _, _>(&g, &[], &[], 4, |_, _, _| ());
-        assert!(out.is_empty());
+        assert_eq!(batch.stats().queries, 0);
     }
 }

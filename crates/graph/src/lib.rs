@@ -25,15 +25,19 @@
 //!   stamping, a dirty list, and one flat lazy heap of inline `(cost,
 //!   vertex)` entries for every cost type make repeated `(source, fault
 //!   set)` queries allocation-free;
-//! * [`BatchScratch`] with [`bfs_batch`] / [`dijkstra_batch`] — the batch
-//!   engine over `sources × fault_sets`: fault sets agreeing on the early
-//!   search frontier share the settled prefix of a per-source baseline
-//!   run instead of searching from scratch, resuming from mid-run
-//!   checkpoints ([`CheckpointMode`]) where available and reporting how
-//!   every query was answered through [`BatchStats`];
-//! * [`bfs_batch_par`] / [`dijkstra_batch_par`] / [`parallel_indexed`] —
-//!   worker-pool fan-out over sources (`std::thread::scope`, one scratch
-//!   per worker, deterministic index-ordered results);
+//! * [`BatchScratch`] with [`dijkstra_batch`] — the batch engine over
+//!   `sources × fault_sets` behind `rsp_core`'s `for_each_tree` sweeps:
+//!   fault sets agreeing on the early search frontier share the settled
+//!   prefix of a per-source baseline run instead of searching from
+//!   scratch, resuming from mid-run checkpoints where the resume point
+//!   lies past one and reporting how every query was answered through
+//!   [`BatchStats`]. Checkpointing is always on: its off switch, the BFS
+//!   batch and the parallel batch wrappers were removed, as no production
+//!   code used them and the checkpoint-free batch lost to per-query search
+//!   on dense graphs;
+//! * [`parallel_indexed`] — worker-pool fan-out over sources
+//!   (`std::thread::scope`, one scratch per worker, deterministic
+//!   index-ordered results);
 //! * [`parallel_frontier`] / [`ShardedSet`] — the work-stealing frontier
 //!   executor for jobs that *discover* further jobs (the FT-BFS fault-set
 //!   enumeration in `rsp_preserver`), with a sharded concurrent visited
@@ -70,7 +74,7 @@
 //! | [`FaultSet`] | the fault set `F`, `\|F\| ≤ f`; `G \ F` everywhere |
 //! | [`bfs`], [`bfs_into`] | ground-truth `dist_{G\F}`, the quantity every theorem bounds |
 //! | [`dijkstra`], [`dijkstra_into`] | unique shortest paths in the perturbed `G* \ F` (Definition 18) |
-//! | [`bfs_batch`], [`dijkstra_batch`], [`parallel_indexed`] | experiment scaling: the `sources × fault_sets` query loops behind Sections 3–4 |
+//! | [`dijkstra_batch`], [`parallel_indexed`] | experiment scaling: the `sources × fault_sets` query loops behind Sections 3–4 |
 //! | [`NextHopTable`] | Section 1's MPLS routing-table deployment |
 //! | [`generators`] | Theorem 37's 4-cycle, tie-rich grids/hypercubes, G(n,m) workloads |
 //!
@@ -113,10 +117,7 @@ mod spt;
 mod tree;
 mod weights;
 
-pub use batch::{
-    bfs_batch, bfs_batch_par, dijkstra_batch, dijkstra_batch_par, BatchScratch, BatchStats,
-    CheckpointMode,
-};
+pub use batch::{dijkstra_batch, BatchScratch, BatchStats};
 pub use bfs::{bfs, bfs_all_pairs, BfsTree};
 pub use builder::{GraphBuilder, GraphError};
 pub use connectivity::{components, connected_pair, diameter, is_connected, is_connected_avoiding};

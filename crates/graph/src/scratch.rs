@@ -384,22 +384,22 @@ impl<C: PathCost> Default for SearchScratch<C> {
     }
 }
 
-/// Hooks into the search loops, called as the traversal progresses.
+/// Hooks into the Dijkstra loop, called as the search progresses.
 ///
-/// The batch engine ([`crate::batch`]) records settle order and per-step
-/// progress through this trait to decide how much of a fault-free baseline
-/// run a faulted query can reuse. The no-op [`NoObserver`] compiles away,
-/// keeping the plain [`bfs_into`] / [`dijkstra_into`] hot paths unchanged.
+/// The batch engine ([`crate::batch`]) records settle order and the
+/// per-step tie flag through this trait to decide how much of a fault-free
+/// baseline run a faulted query can reuse. The no-op [`NoObserver`]
+/// compiles away, keeping the plain [`dijkstra_into`] hot path unchanged.
 pub(crate) trait SearchObserver {
-    /// A vertex left the frontier and its final distance/cost is fixed
-    /// (BFS dequeue; Dijkstra heap pop). Called *before* its edges relax.
+    /// A vertex left the heap and its final cost is fixed. Called *before*
+    /// its edges relax.
     #[inline]
     fn popped(&mut self, _v: Vertex) {}
 
-    /// All edges of the popped vertex have been relaxed. `reached` is the
-    /// number of vertices discovered so far; `ties` the cumulative tie flag.
+    /// All edges of the popped vertex have been relaxed; `ties` is the
+    /// cumulative tie flag.
     #[inline]
-    fn relaxed(&mut self, _reached: usize, _ties: bool) {}
+    fn relaxed(&mut self, _ties: bool) {}
 }
 
 /// The do-nothing observer behind the public single-query entry points.
@@ -423,38 +423,15 @@ pub fn bfs_into<C: PathCost>(
     faults: &FaultSet,
     scratch: &mut SearchScratch<C>,
 ) {
-    bfs_observed(g, source, faults, scratch, &mut NoObserver);
-}
-
-/// [`bfs_into`] with an observer hook (the batch engine's entry point).
-pub(crate) fn bfs_observed<C: PathCost, O: SearchObserver>(
-    g: &Graph,
-    source: Vertex,
-    faults: &FaultSet,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-) {
     assert!(source < g.n(), "bfs source {source} out of range");
     scratch.begin(g.n(), source, false);
-    scratch.stamp[source] = scratch.epoch;
+    let epoch = scratch.epoch;
+    scratch.stamp[source] = epoch;
     scratch.hops[source] = 0;
     scratch.touched.push(source as u32);
     scratch.queue.push_back(source as u32);
-    bfs_run(g, faults, scratch, obs);
-}
-
-/// The BFS main loop over whatever frontier `scratch.queue` currently
-/// holds; also the continuation step of a batch resume.
-pub(crate) fn bfs_run<C: PathCost, O: SearchObserver>(
-    g: &Graph,
-    faults: &FaultSet,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-) {
-    let epoch = scratch.epoch;
     while let Some(u) = scratch.queue.pop_front() {
         let u = u as usize;
-        obs.popped(u);
         let du = scratch.hops[u];
         for (v, e) in g.neighbors(u) {
             if faults.contains(e) || scratch.stamp[v] == epoch {
@@ -466,7 +443,6 @@ pub(crate) fn bfs_run<C: PathCost, O: SearchObserver>(
             scratch.touched.push(v as u32);
             scratch.queue.push_back(v as u32);
         }
-        obs.relaxed(scratch.touched.len(), false);
     }
 }
 
@@ -492,24 +468,8 @@ pub fn dijkstra_into<C, F>(
     C: PathCost,
     F: EdgeCostSource<C>,
 {
-    dijkstra_observed(g, source, faults, costs, scratch, &mut NoObserver);
-}
-
-/// [`dijkstra_into`] with an observer hook (the batch engine's entry point).
-pub(crate) fn dijkstra_observed<C, F, O>(
-    g: &Graph,
-    source: Vertex,
-    faults: &FaultSet,
-    costs: F,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-) where
-    C: PathCost,
-    F: EdgeCostSource<C>,
-    O: SearchObserver,
-{
     dijkstra_seed(g, source, scratch);
-    dijkstra_run(g, faults, costs, scratch, obs, usize::MAX);
+    dijkstra_run(g, faults, costs, scratch, &mut NoObserver, usize::MAX);
 }
 
 /// Opens a weighted query generation and enqueues the source, leaving the
@@ -626,7 +586,7 @@ pub(crate) fn dijkstra_run<C, F, O>(
             let cand = costs.compute(&c, e, u, v);
             relax(u, v, e, epoch, cand, stamp, key, parent, hops, lazy, heap_pos, touched, ties);
         }
-        obs.relaxed(touched.len(), *ties);
+        obs.relaxed(*ties);
     }
 }
 

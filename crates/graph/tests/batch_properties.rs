@@ -1,17 +1,16 @@
-//! Property tests for the batch query engine: `bfs_batch` /
-//! `dijkstra_batch` (prefix sharing) and the `*_batch_par` worker-pool
-//! fan-out must be byte-for-byte indistinguishable — distances, costs,
-//! parents, tie flags — from running the single-query engine once per
-//! `(source, fault set)`, for fault sets in arbitrary order and for
-//! worker counts 1, 2, and 8.
+//! Property tests for the batch query engine: `dijkstra_batch` (prefix
+//! sharing and checkpointed resume), also fanned out over sources with
+//! `parallel_indexed`, must be byte-for-byte indistinguishable —
+//! distances, costs, parents, tie flags — from running the single-query
+//! engine once per `(source, fault set)`, for fault sets in arbitrary
+//! order and for worker counts 1, 2, and 8.
 
 use std::ops::ControlFlow;
 
 use proptest::prelude::*;
 use rsp_graph::{
-    bfs_batch, bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, dijkstra_into,
-    generators, BatchScratch, CheckpointMode, DirectedCosts, FaultSet, Graph, SearchScratch,
-    Vertex,
+    bfs_into, dijkstra_batch, dijkstra_into, generators, parallel_indexed, BatchScratch,
+    DirectedCosts, FaultSet, Graph, SearchScratch, Vertex,
 };
 
 fn gnm_params() -> impl Strategy<Value = (usize, usize, u64)> {
@@ -64,68 +63,37 @@ fn bfs_snapshot(g: &Graph, s: &SearchScratch<u32>) -> BfsSnapshot {
     (g.vertices().map(|v| s.dist(v)).collect(), g.vertices().map(|v| s.parent(v)).collect())
 }
 
-/// Runs `dijkstra_batch` under every [`CheckpointMode`], asserting every
-/// cell equals a per-query `dijkstra_into` and the stats account for every
-/// query. Needs a connected graph with `n ≥ 16`, so that at least the
-/// `n/2` checkpoint depth is capturable.
-fn resume_modes_equal_single_queries<C: rsp_arith::PathCost>(
+/// Runs `dijkstra_batch` once, asserting every cell equals a per-query
+/// `dijkstra_into` and the stats account for every query. Needs a
+/// connected graph with `n ≥ 16`, so that at least the `n/2` checkpoint
+/// depth is capturable.
+fn resume_routes_equal_single_queries<C: rsp_arith::PathCost>(
     g: &Graph,
     srcs: &[Vertex],
     fs: &[FaultSet],
     cost: impl Fn(usize, Vertex, Vertex) -> C + Copy,
 ) {
     let mut single = SearchScratch::<C>::new();
-    for mode in [CheckpointMode::Always, CheckpointMode::Never] {
-        let mut batch = BatchScratch::<C>::new().with_checkpoint_mode(mode);
-        dijkstra_batch(g, srcs, fs, cost, &mut batch, |si, fi, result| {
-            dijkstra_into(g, srcs[si], &fs[fi], cost, &mut single);
-            assert_eq!(snapshot(g, result), snapshot(g, &single), "{mode:?} s{si} f{fi}");
-            ControlFlow::Continue(())
-        });
-        let stats = batch.stats();
-        assert_eq!(stats.queries, srcs.len() * fs.len(), "{mode:?}");
-        assert_eq!(
-            stats.queries,
-            stats.baseline_answered
-                + stats.checkpoint_resumed
-                + stats.prefix_resumed
-                + stats.full_searches,
-            "query accounting ({mode:?})"
-        );
-        match mode {
-            CheckpointMode::Never => {
-                assert_eq!(stats.checkpoints_captured, 0);
-                assert_eq!(stats.checkpoint_resumed, 0);
-            }
-            CheckpointMode::Always => assert!(stats.checkpoints_captured >= srcs.len()),
-        }
-    }
+    let mut batch = BatchScratch::<C>::new();
+    dijkstra_batch(g, srcs, fs, cost, &mut batch, |si, fi, result| {
+        dijkstra_into(g, srcs[si], &fs[fi], cost, &mut single);
+        assert_eq!(snapshot(g, result), snapshot(g, &single), "s{si} f{fi}");
+        ControlFlow::Continue(())
+    });
+    let stats = batch.stats();
+    assert_eq!(stats.queries, srcs.len() * fs.len());
+    assert_eq!(
+        stats.queries,
+        stats.baseline_answered
+            + stats.checkpoint_resumed
+            + stats.prefix_resumed
+            + stats.full_searches,
+        "query accounting"
+    );
+    assert!(stats.checkpoints_captured >= srcs.len());
 }
 
 proptest! {
-    /// `bfs_batch` equals per-query `bfs_into` on every query of a random
-    /// `sources × fault_sets` plan.
-    #[test]
-    fn bfs_batch_equals_single_queries(
-        (n, m, seed) in gnm_params(),
-        fault_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..8),
-        source_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..4),
-    ) {
-        let g = generators::connected_gnm(n, m, seed);
-        let fs = fault_sets(&g, &fault_picks);
-        let srcs = sources(&g, &source_picks);
-        let mut batch = BatchScratch::<u32>::new();
-        let mut single = SearchScratch::<u32>::new();
-        let mut visited = 0usize;
-        bfs_batch(&g, &srcs, &fs, &mut batch, |si, fi, result| {
-            visited += 1;
-            bfs_into(&g, srcs[si], &fs[fi], &mut single);
-            assert_eq!(bfs_snapshot(&g, result), bfs_snapshot(&g, &single), "s{si} f{fi}");
-            ControlFlow::Continue(())
-        });
-        prop_assert_eq!(visited, srcs.len() * fs.len());
-    }
-
     /// `dijkstra_batch` equals per-query `dijkstra_into` — u64 costs with
     /// per-edge, per-direction variation.
     #[test]
@@ -191,14 +159,14 @@ proptest! {
         });
     }
 
-    /// Checkpointed and checkpoint-free resume are byte-identical to each
-    /// other and to the single-query engine — for `u64` and `BigInt` costs
-    /// — for arbitrary graphs, fault-set orders, and sources. Graphs are
-    /// drawn large enough that `Always` genuinely captures (depth
-    /// `n/2 ≥ 8`), and near-colliding costs make tie flags part of the
-    /// comparison.
+    /// Checkpointed resume (and the replay resume of queries diverging
+    /// before the first checkpoint) is byte-identical to the single-query
+    /// engine — for `u64` and `BigInt` costs — for arbitrary graphs,
+    /// fault-set orders, and sources. Graphs are drawn large enough that
+    /// the batch genuinely captures (depth `n/2 ≥ 8`), and near-colliding
+    /// costs make tie flags part of the comparison.
     #[test]
-    fn checkpointed_resume_equals_checkpoint_free_and_single_queries(
+    fn checkpointed_resume_equals_single_queries(
         n in 16usize..=48,
         density in 0usize..=3,
         seed in any::<u64>(),
@@ -212,14 +180,16 @@ proptest! {
         let cost = |e: usize, from: usize, to: usize| {
             1_000u64 + (e as u64 * 17) % 3 + u64::from(from < to)
         };
-        resume_modes_equal_single_queries(&g, &srcs, &fs, cost);
-        resume_modes_equal_single_queries(&g, &srcs, &fs, |e, from, to| {
+        resume_routes_equal_single_queries(&g, &srcs, &fs, cost);
+        resume_routes_equal_single_queries(&g, &srcs, &fs, |e, from, to| {
             rsp_arith::BigInt::from(cost(e, from, to) as i64)
         });
     }
 
-    /// Worker counts 1, 2, and 8 produce identical result matrices — and
-    /// all match the sequential single-query engine.
+    /// Sources fanned out over `parallel_indexed` (one scratch per worker)
+    /// produce identical result matrices at 1, 2, and 8 workers — and all
+    /// match the sequential single-query engine: `dijkstra_batch` per
+    /// source for the weighted engine, `bfs_into` per query for BFS.
     #[test]
     fn parallel_fan_out_is_worker_count_invariant(
         (n, m, seed) in gnm_params(),
@@ -248,9 +218,19 @@ proptest! {
             .collect();
 
         for workers in [1usize, 2, 8] {
-            let par = dijkstra_batch_par(&g, &srcs, &fs, || cost, workers, |_, _, r| {
-                snapshot(&g, r)
-            });
+            let par = parallel_indexed(
+                srcs.len(),
+                workers,
+                |_| BatchScratch::<u64>::new(),
+                |batch, i| {
+                    let mut row = Vec::with_capacity(fs.len());
+                    dijkstra_batch(&g, &srcs[i..=i], &fs, cost, batch, |_, _, r| {
+                        row.push(snapshot(&g, r));
+                        ControlFlow::Continue(())
+                    });
+                    row
+                },
+            );
             prop_assert_eq!(&par, &reference, "dijkstra workers={}", workers);
         }
 
@@ -267,8 +247,19 @@ proptest! {
             })
             .collect();
         for workers in [1usize, 2, 8] {
-            let par =
-                bfs_batch_par::<u32, _, _>(&g, &srcs, &fs, workers, |_, _, r| bfs_snapshot(&g, r));
+            let par = parallel_indexed(
+                srcs.len(),
+                workers,
+                |_| SearchScratch::<u32>::new(),
+                |scratch, i| {
+                    fs.iter()
+                        .map(|f| {
+                            bfs_into(&g, srcs[i], f, scratch);
+                            bfs_snapshot(&g, scratch)
+                        })
+                        .collect::<Vec<_>>()
+                },
+            );
             prop_assert_eq!(&par, &bfs_reference, "bfs workers={}", workers);
         }
     }

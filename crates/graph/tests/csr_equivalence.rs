@@ -1,8 +1,7 @@
 //! CSR-core differential suite: every production engine — `bfs_into` /
 //! `dijkstra_into` for `u64`, `u128` and `BigInt` costs, `dijkstra_batch`
-//! under every [`CheckpointMode`] and cost type, and the worker-pool
-//! fan-out at 1/2/8 workers — must
-//! be cell-identical (costs, hop counts, parents, tie flags, reachable
+//! over every resume route and cost type, and the `parallel_indexed`
+//! fan-out over sources at 1/2/8 workers — must be cell-identical (costs, hop counts, parents, tie flags, reachable
 //! counts) to the pre-migration Vec-of-Vec reference engine preserved in
 //! [`rsp_graph::reference`], on every generator family the workloads use:
 //! `G(n,m)`, grids, hypercubes, preferential attachment, Watts–Strogatz,
@@ -14,8 +13,8 @@ use proptest::prelude::*;
 use rsp_arith::{BigInt, PathCost};
 use rsp_graph::reference::{ref_bfs, ref_dijkstra, RefGraph, RefTree};
 use rsp_graph::{
-    bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, dijkstra_into, gen, generators,
-    BatchScratch, CheckpointMode, DirectedCosts, FaultSet, Graph, SearchScratch, Vertex,
+    bfs_into, dijkstra_batch, dijkstra_into, gen, generators, parallel_indexed, BatchScratch,
+    DirectedCosts, FaultSet, Graph, SearchScratch, Vertex,
 };
 
 /// One graph drawn from the six generator families the differential suite
@@ -81,8 +80,9 @@ fn u64_cost(e: usize, from: Vertex, to: Vertex) -> u64 {
     1_000_000 + (e as u64 * 17) % 1000 + u64::from(from < to) * 3
 }
 
-/// Runs `dijkstra_batch` under every [`CheckpointMode`] and asserts every
-/// cell equals the reference matrix, computed once and shared by the modes.
+/// Runs `dijkstra_batch` and asserts every cell equals the reference
+/// matrix, whichever route (baseline, checkpoint, replay, full search)
+/// answered it.
 fn batch_equals_reference<C: PathCost>(
     g: &Graph,
     srcs: &[Vertex],
@@ -92,14 +92,12 @@ fn batch_equals_reference<C: PathCost>(
     let r = RefGraph::from_graph(g);
     let spec: Vec<Vec<RefTree<C>>> =
         srcs.iter().map(|&s| fs.iter().map(|f| ref_dijkstra(&r, s, f, cost)).collect()).collect();
-    for mode in [CheckpointMode::Always, CheckpointMode::Never] {
-        let mut batch = BatchScratch::<C>::new().with_checkpoint_mode(mode);
-        dijkstra_batch(g, srcs, fs, cost, &mut batch, |si, fi, result| {
-            assert_dijkstra_matches(g, result, &spec[si][fi]);
-            ControlFlow::Continue(())
-        });
-        assert_eq!(batch.stats().queries, srcs.len() * fs.len(), "{mode:?}");
-    }
+    let mut batch = BatchScratch::<C>::new();
+    dijkstra_batch(g, srcs, fs, cost, &mut batch, |si, fi, result| {
+        assert_dijkstra_matches(g, result, &spec[si][fi]);
+        ControlFlow::Continue(())
+    });
+    assert_eq!(batch.stats().queries, srcs.len() * fs.len());
 }
 
 proptest! {
@@ -171,11 +169,11 @@ proptest! {
         }
     }
 
-    /// `dijkstra_batch` — every `CheckpointMode` for `u64` and `BigInt`
-    /// costs — equals the reference on every cell of the `sources ×
-    /// fault_sets` plan. Near-colliding costs make tie flags part of the
-    /// comparison; `BigInt` covers checkpoint restore of heap-allocated
-    /// costs.
+    /// `dijkstra_batch` — every resume route ("mode": baseline,
+    /// checkpoint, replay, full search), for `u64` and `BigInt` costs —
+    /// equals the reference on every cell of the `sources × fault_sets`
+    /// plan. Near-colliding costs make tie flags part of the comparison;
+    /// `BigInt` covers checkpoint restore of heap-allocated costs.
     #[test]
     fn batch_equals_reference_under_all_modes_and_costs(
         g in family_graph(),
@@ -202,8 +200,9 @@ proptest! {
         batch_equals_reference(&g, &srcs, &fs, |e, from, to| BigInt::from(cost(e, from, to) as i64));
     }
 
-    /// The worker-pool fan-out at 1, 2, and 8 workers equals the
-    /// reference matrix — for Dijkstra and BFS.
+    /// `parallel_indexed` over sources at 1, 2, and 8 workers (one
+    /// scratch per worker, one `dijkstra_into` / `bfs_into` per query)
+    /// equals the reference matrix.
     #[test]
     fn parallel_fan_out_equals_reference(
         g in family_graph(),
@@ -228,14 +227,24 @@ proptest! {
             })
             .collect();
         for workers in [1usize, 2, 8] {
-            let par = dijkstra_batch_par(&g, &srcs, &fs, || u64_cost, workers, |_, _, s| {
-                (
-                    g.vertices().map(|v| s.cost(v).copied()).collect::<Vec<_>>(),
-                    g.vertices().map(|v| s.parent(v)).collect::<Vec<_>>(),
-                    s.ties_detected(),
-                    s.reachable_count(),
-                )
-            });
+            let par = parallel_indexed(
+                srcs.len(),
+                workers,
+                |_| SearchScratch::<u64>::new(),
+                |s, i| {
+                    fs.iter()
+                        .map(|f| {
+                            dijkstra_into(&g, srcs[i], f, u64_cost, s);
+                            (
+                                g.vertices().map(|v| s.cost(v).copied()).collect::<Vec<_>>(),
+                                g.vertices().map(|v| s.parent(v)).collect::<Vec<_>>(),
+                                s.ties_detected(),
+                                s.reachable_count(),
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                },
+            );
             prop_assert_eq!(&par, &dijkstra_spec, "dijkstra workers={}", workers);
         }
 
@@ -253,12 +262,22 @@ proptest! {
             })
             .collect();
         for workers in [1usize, 2, 8] {
-            let par = bfs_batch_par::<u32, _, _>(&g, &srcs, &fs, workers, |_, _, s| {
-                (
-                    g.vertices().map(|v| s.dist(v)).collect::<Vec<_>>(),
-                    g.vertices().map(|v| s.parent(v)).collect::<Vec<_>>(),
-                )
-            });
+            let par = parallel_indexed(
+                srcs.len(),
+                workers,
+                |_| SearchScratch::<u32>::new(),
+                |s, i| {
+                    fs.iter()
+                        .map(|f| {
+                            bfs_into(&g, srcs[i], f, s);
+                            (
+                                g.vertices().map(|v| s.dist(v)).collect::<Vec<_>>(),
+                                g.vertices().map(|v| s.parent(v)).collect::<Vec<_>>(),
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                },
+            );
             prop_assert_eq!(&par, &bfs_spec, "bfs workers={}", workers);
         }
     }

@@ -3,17 +3,17 @@
 //! Contract under test: a churn pipeline publishes, at every epoch,
 //! snapshots **cell-by-cell identical** to a fresh full build on the
 //! same fault set; the delta-built cells are pinned against
-//! `tree_from_with` and `dijkstra_batch`/`dijkstra_batch_par` (workers
-//! 1/2/8) directly; untouched rows are **Arc-pointer shared** with the
-//! predecessor (so "delta" can't silently mean "rebuild"); and a flaky
+//! `tree_from_with` and `spt_into` fanned out over `parallel_indexed`
+//! (workers 1/2/8) directly; untouched rows are **Arc-pointer shared**
+//! with the predecessor (so "delta" can't silently mean "rebuild"); and a flaky
 //! delta builder always heals via the full-rebuild fallback with the
 //! reason visible in `ChurnHealth`.
 
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
 use rsp_graph::{
-    dijkstra_batch_par, gen, generators, tree_edge_child, FaultEvent, FaultSet, FaultState, Graph,
-    SubtreeScratch,
+    gen, generators, parallel_indexed, tree_edge_child, FaultEvent, FaultSet, FaultState, Graph,
+    SearchScratch, SubtreeScratch,
 };
 use rsp_oracle::churn::inject::{
     flaky_delta_builder, random_trace_with, verify_converged, TraceOptions,
@@ -62,7 +62,8 @@ fn independent_fold(g: &Graph, journal: &[FaultEvent]) -> FaultSet {
 
 /// Single-event epochs on the grid: every commit is served by the delta
 /// builder, and every published snapshot equals `tree_from_with` and
-/// `dijkstra_batch_par` at workers 1, 2, and 8 — cell for cell.
+/// `spt_into` fanned out over `parallel_indexed` at workers 1, 2, and 8 —
+/// cell for cell.
 #[test]
 fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
     let g = generators::grid(4, 4);
@@ -71,7 +72,6 @@ fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
 
     let trace =
         random_trace_with(&g, 12, 0xd1f5_0001, TraceOptions { burst: 0.3, ..Default::default() });
-    let sources: Vec<_> = g.vertices().collect();
     let mut rpts_scratch = scheme.new_scratch();
     for &ev in &trace {
         pipeline.ingest(ev).unwrap();
@@ -90,17 +90,14 @@ fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
                 assert_eq!(row.parent(v), tree.parent(v), "tree_from_with parent s{s} v{v}");
             }
         }
-        // ...and against the parallel batch engine at several widths.
+        // ...and against the exact engine fanned out at several widths.
         for workers in [1usize, 2, 8] {
-            let fault_sets = [faults.clone()];
-            let rows = dijkstra_batch_par(
-                &g,
-                &sources,
-                &fault_sets,
-                || scheme.directed_costs(),
+            let rows = parallel_indexed(
+                g.n(),
                 workers,
-                |si, _fi, run| {
-                    let s = sources[si];
+                |_| SearchScratch::with_capacity(g.n()),
+                |run, s| {
+                    scheme.spt_into(s, &faults, run);
                     let row = snapshot.baseline(s).unwrap();
                     g.vertices().all(|v| {
                         row.dist(v) == run.hops(v)
@@ -110,8 +107,8 @@ fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
                 },
             );
             assert!(
-                rows.iter().flatten().all(|&ok| ok),
-                "delta snapshot disagrees with dijkstra_batch_par at {workers} workers"
+                rows.iter().all(|&ok| ok),
+                "delta snapshot disagrees with spt_into at {workers} workers"
             );
         }
     }

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use rsp_core::RandomGridAtw;
-use rsp_graph::{dijkstra_batch_par, parallel_indexed, EdgeId, FaultSet, Graph, Path, Vertex};
+use rsp_graph::{parallel_indexed, EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex};
 
 use crate::single_pair::{
     single_pair_replacement_paths_with, ReplacementEntry, ReplacementScratch, SinglePairResult,
@@ -130,9 +130,9 @@ pub fn subset_replacement_paths(g: &Graph, sources: &[Vertex], seed: u64) -> Sub
 
 /// [`subset_replacement_paths`] with both phases fanned out over a worker
 /// pool: the per-source SPT builds run through
-/// [`rsp_graph::dijkstra_batch_par`], and the `O(σ²)` per-pair
-/// sub-instances are distributed across workers, each holding its own
-/// [`ReplacementScratch`].
+/// [`rsp_graph::parallel_indexed`] with one [`SearchScratch`] per worker,
+/// and the `O(σ²)` per-pair sub-instances are distributed across workers,
+/// each holding its own [`ReplacementScratch`].
 ///
 /// Output is identical to the sequential form for every worker count
 /// (`workers = 1` runs inline on the calling thread).
@@ -152,18 +152,15 @@ pub fn subset_replacement_paths_par(
     // Step 1–3 of Algorithm 1: restorable scheme + one outgoing SPT per
     // source, fanned out over the worker pool (one search scratch each).
     let scheme = RandomGridAtw::theorem20(g, seed).into_scheme();
-    let empty = [FaultSet::empty()];
-    let tree_edges: Vec<Vec<EdgeId>> = dijkstra_batch_par(
-        g,
-        sources,
-        &empty,
-        || scheme.directed_costs(),
+    let tree_edges: Vec<Vec<EdgeId>> = parallel_indexed(
+        sources.len(),
         workers,
-        |_, _, result| result.tree_edges().collect::<Vec<EdgeId>>(),
-    )
-    .into_iter()
-    .map(|mut row| row.pop().expect("one fault set per source"))
-    .collect();
+        |_| SearchScratch::with_capacity(g.n()),
+        |scratch, i| {
+            scheme.spt_into(sources[i], &FaultSet::empty(), scratch);
+            scratch.tree_edges().collect()
+        },
+    );
 
     // Step 4–5: per pair, solve on the union of the two trees. Pairs are
     // independent, so they fan out too — one ReplacementScratch per worker

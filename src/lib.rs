@@ -9,7 +9,7 @@
 //!   routing tables, generators, and the query engine: reusable
 //!   [`graph::SearchScratch`] state, batched `sources × fault_sets`
 //!   queries with shared search prefixes ([`graph::dijkstra_batch`]), and
-//!   worker-pool fan-out ([`graph::dijkstra_batch_par`]);
+//!   worker-pool fan-out ([`graph::parallel_indexed`]);
 //! * [`core`] — **the paper's contribution**: antisymmetric tiebreaking
 //!   weight functions (Theorems 20, 23, Corollary 22), the induced
 //!   consistent/stable/restorable schemes (Theorem 19), restoration by
