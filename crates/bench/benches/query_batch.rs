@@ -1,11 +1,11 @@
-//! Batched multi-fault query benchmarks: the per-query engine (one
-//! reused `SearchScratch`, one full search per `(source, fault set)`
-//! query) versus the batch engine (`dijkstra_batch`, which shares the
-//! settled search prefix between fault sets agreeing on the early frontier
-//! and resumes from mid-run checkpoints).
+//! Multi-fault sweep benchmarks: the per-query engine (one reused
+//! `SearchScratch`, one full search per `(source, fault set)` query)
+//! versus the sweep (`dijkstra_sweep`: one fault-free base run per
+//! source, then each fault set applied edge by edge by the repair
+//! kernel, searching only where a tie leaves the tree unforced).
 //!
 //! The workload mirrors the restorability/preserver access pattern: every
-//! query batch is `sources × (∅ + fault sets)` under Theorem 20 perturbed
+//! sweep is `sources × (∅ + fault sets)` under Theorem 20 perturbed
 //! `u128` costs. Four weighted families cover both regimes:
 //!
 //! * **singles** spread across the edge set (`8x33` groups) on a tie-rich
@@ -13,16 +13,15 @@
 //!   directly diffable against `BENCH_3.json`;
 //! * **clustered `f = 2, 3` sets** (`f2`/`f3` groups) — the Bodwin–Wang
 //!   (arXiv:2309.07964) multi-fault trade-off regime: each set's edges sit
-//!   in one small neighborhood, so `prefix_len` is governed by the
-//!   cluster's distance from the source rather than by any single edge.
+//!   in one small neighborhood, applied one at a time by the kernel.
 //!
 //! Each family times two rows: `per_query` is the reused-scratch
 //! single-query engine (`query_engine`'s `inline_reuse` rows) and
-//! `batched` the batch engine. After the timed rows each family prints
-//! its [`rsp_graph::BatchStats`] — how many queries the baseline answered
-//! outright, how many restored a checkpoint, and how many relaxations the
-//! replay path re-executed — so prefix-sharing efficacy is measured, not
-//! inferred.
+//! `batched` the sweep. The row names predate the sweep (they timed the
+//! prefix-sharing batch engine it replaced) and are kept so runs stay
+//! diffable with `BENCH_26.json`. After the timed rows each family
+//! prints its [`rsp_graph::SweepStats`]: how many queries the kernel
+//! repaired and how many fell back to a search.
 //!
 //! Append results to the repo's `BENCH_<n>.json` trajectory with:
 //!
@@ -35,10 +34,10 @@ use std::ops::ControlFlow;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsp_core::RandomGridAtw;
-use rsp_graph::{dijkstra_batch, generators, BatchScratch, FaultSet, Graph, SearchScratch, Vertex};
+use rsp_graph::{dijkstra_sweep, generators, FaultSet, Graph, SearchScratch, SweepScratch, Vertex};
 
-/// `∅` plus `queries` single faults spread across the edge set: most are
-/// far from any given source, which is exactly the prefix-sharing regime.
+/// `∅` plus `queries` single faults spread across the edge set: most
+/// detach small subtrees of any given source's tree.
 fn fault_batch(g: &Graph, queries: usize) -> Vec<FaultSet> {
     std::iter::once(FaultSet::empty())
         .chain((0..queries).map(|i| FaultSet::single(i * g.m() / queries)))
@@ -76,8 +75,8 @@ fn clustered_fault_batch(g: &Graph, f: usize, count: usize) -> Vec<FaultSet> {
         .collect()
 }
 
-/// One weighted group: `per_query` vs `batched`, then a stats print for
-/// the batch.
+/// One weighted group: `per_query` vs `batched` (the sweep), then a
+/// stats print for the sweep.
 fn bench_weighted_family(
     c: &mut Criterion,
     label: &str,
@@ -101,12 +100,12 @@ fn bench_weighted_family(
             reached
         })
     });
-    let mut batch = BatchScratch::<u128>::with_capacity(g.n());
+    let mut sweep = SweepScratch::<u128>::new();
     group.bench_function("batched", |b| {
         b.iter(|| {
             let mut reached = 0usize;
-            dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut batch, |_, _, r| {
-                reached += r.reachable_count();
+            dijkstra_sweep(g, sources, faults, scheme.directed_costs(), &mut sweep, |_, _, t| {
+                reached += t.reachable_count();
                 ControlFlow::Continue(())
             });
             reached
@@ -114,15 +113,13 @@ fn bench_weighted_family(
     });
     group.finish();
 
-    // One clean pass per configuration    group.finish();
-
-    // One clean pass so the printed stats describe a single batch, not an
+    // One clean pass so the printed stats describe a single sweep, not an
     // iteration-count multiple.
-    batch.reset_stats();
-    dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut batch, |_, _, _| {
+    sweep.reset_stats();
+    dijkstra_sweep(g, sources, faults, scheme.directed_costs(), &mut sweep, |_, _, _| {
         ControlFlow::Continue(())
     });
-    println!("{label}/batched stats: {}", batch.stats());
+    println!("{label}/batched stats: {}", sweep.stats());
 }
 
 fn bench_weighted(c: &mut Criterion) {
@@ -132,12 +129,8 @@ fn bench_weighted(c: &mut Criterion) {
     bench_weighted_family(c, "query_batch/u128_grid16x16_8x33", &g, &sources, &faults);
 }
 
-/// The ROADMAP dense workload: `G(n, m ≈ n^1.5)`. Checkpointed resume
-/// saves `O(prefix edges)` of replay, so its payoff grows with density —
-/// degree-4 grids barely notice checkpoints, a degree-24 G(n,m) should.
-/// The checkpoint depth schedule was re-tuned on this family (see
-/// `rsp_graph::batch`'s depth constants and the README "Performance"
-/// note for the measured outcome).
+/// The ROADMAP dense workload: `G(n, m ≈ n^1.5)`, where a search scans
+/// degree-24 adjacency lists and a repair only the detached subtrees'.
 fn bench_weighted_dense(c: &mut Criterion) {
     // n = 144, m = 144^1.5 = 1728: average degree 24 on as many vertices
     // as the bench budget allows at sample_size 20.

@@ -30,7 +30,7 @@
 //! | `benches/preserver`, `benches/lower_bound` | Theorems 26/27/31 build sizes and times |
 //! | `benches/spanner`, `benches/labeling`, `benches/congest` | Sections 4.3–4.5 constructions |
 //! | `benches/query_engine` | the scratch engine vs the reference engine (`BENCH_2.json` trajectory) |
-//! | `benches/query_batch` | the batch engine against per-query search (`BENCH_3.json` trajectory) |
+//! | `benches/query_batch` | the repair-kernel sweep against per-query search (`BENCH_3.json` trajectory) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -42,7 +42,7 @@
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
 //! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), the preserver
+//! engine (scratch -> repair kernel and sweep -> pool/frontier), the preserver
 //! enumeration pipeline, and the serving layer (its "Serving layer"
 //! chapter — `rsp_oracle` compiles an [`ExactScheme`] into immutable
 //! snapshots served lock-free; prefer it over driving [`Rpts`] queries
@@ -53,7 +53,7 @@
 //! | Module / item | Paper (PAPER.md) |
 //! |---|---|
 //! | [`Rpts`] | Definition 15: replacement-path tiebreaking scheme `π(s, t \| F)` |
-//! | [`Rpts::for_each_tree`] | batched query plane for the Section 3–4 sweeps (prefix sharing + checkpointed resume via `rsp_graph::dijkstra_batch` when a sweep has several fault sets; per-query search for one) |
+//! | [`Rpts::for_each_tree`] | batched query plane for the Section 3–4 sweeps (one fault-free tree per source, each fault set applied by the repair kernel via `rsp_graph::dijkstra_sweep` when a sweep has several fault sets; per-query search for one) |
 //! | [`ExactScheme`] | Theorem 19: the weight-induced consistent/stable/restorable scheme |
 //! | [`RandomGridAtw::theorem20`] | Theorem 20 (real sampling → exact fine grid) |
 //! | [`RandomGridAtw::corollary22`] | Corollary 22, isolation-lemma grid, `O(f log n)` bits |

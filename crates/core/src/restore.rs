@@ -81,10 +81,9 @@ pub fn restore_by_concatenation_with<S: Rpts>(
     let mut subsets: Vec<FaultSet> = faults.proper_subsets().collect();
     subsets.sort_by_key(|f| f.len());
 
-    // One batched sweep: all subset trees from `s` arrive first (sharing
-    // their settled search prefix when there are several subsets — see
-    // `Rpts::for_each_tree`), then the
-    // trees from `t`. As each `t` tree lands, its subset is complete, so
+    // One batched sweep: all subset trees from `s` arrive first (repaired
+    // from one fault-free tree when there are several subsets — see
+    // `Rpts::for_each_tree`), then the trees from `t`. As each `t` tree lands, its subset is complete, so
     // the midpoint scan runs immediately and a success breaks the sweep
     // before the remaining `t` trees are computed.
     let mut trees_s: Vec<Option<BfsTree>> = (0..subsets.len()).map(|_| None).collect();

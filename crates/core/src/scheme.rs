@@ -7,16 +7,17 @@ use std::ops::ControlFlow;
 
 use rsp_arith::PathCost;
 use rsp_graph::{
-    BatchScratch, BfsTree, DirectedCosts, EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex,
+    BfsTree, DirectedCosts, EdgeId, FaultSet, Graph, Path, SearchScratch, SweepScratch, Vertex,
     WeightedSpt,
 };
 
 /// The scratch payload of the exact (weight-induced) schemes: one
-/// single-query scratch for the `_with` methods plus one batch scratch for
-/// [`Rpts::for_each_tree`].
+/// single-query scratch for the `_with` methods plus the sweep state of
+/// [`Rpts::for_each_tree`], which stays empty until the first sweep over
+/// several fault sets.
 struct ExactPayload<C> {
     single: SearchScratch<C>,
-    batch: BatchScratch<C>,
+    sweep: SweepScratch<C>,
 }
 
 /// Opaque reusable search state for repeated scheme queries.
@@ -156,13 +157,13 @@ pub trait Rpts {
     ///
     /// The batched entry point behind the verifiers, restoration sweeps,
     /// and preserver builds. The default loops over
-    /// [`Rpts::tree_from_with`]; schemes backed by the batch query engine
-    /// override it to share the settled search prefix between fault sets
-    /// that agree on the early frontier, resuming from mid-run baseline
-    /// checkpoints where the engine captured them (see
-    /// [`rsp_graph::dijkstra_batch`]). A sweep over a single fault set has
-    /// no prefix to share, so it runs the per-query loop. Either way the
-    /// trees visited are identical to per-query [`Rpts::tree_from`] calls.
+    /// [`Rpts::tree_from_with`]; the exact schemes override it with
+    /// [`rsp_graph::dijkstra_sweep`]: one fault-free tree per source, each
+    /// fault set then applied edge by edge by the repair kernel, with a
+    /// search wherever a tie leaves the tree unforced. A sweep over a
+    /// single fault set has no base tree to share, so it runs the
+    /// per-query loop. Either way the trees visited are identical to
+    /// per-query [`Rpts::tree_from`] calls.
     fn for_each_tree(
         &self,
         sources: &[Vertex],
@@ -300,35 +301,37 @@ impl<C: PathCost + 'static> ExactScheme<C> {
 
     /// The scheme's stored per-direction costs as a borrowing
     /// [`rsp_graph::EdgeCostSource`], ready to hand to the raw query
-    /// engine ([`rsp_graph::dijkstra_into`], [`rsp_graph::dijkstra_batch`]).
+    /// engine ([`rsp_graph::dijkstra_into`], [`rsp_graph::dijkstra_sweep`]).
     ///
     /// # Examples
     ///
     /// ```
     /// use std::ops::ControlFlow;
     /// use rsp_core::{RandomGridAtw, Rpts};
-    /// use rsp_graph::{dijkstra_batch, generators, BatchScratch, FaultSet};
+    /// use rsp_graph::{dijkstra_sweep, generators, FaultSet, SweepScratch};
     ///
     /// let g = generators::grid(3, 3);
     /// let scheme = RandomGridAtw::theorem20(&g, 1).into_scheme();
     /// let sources: Vec<usize> = g.vertices().collect();
     /// let faults: Vec<FaultSet> = (0..g.m()).map(FaultSet::single).collect();
-    /// // One selected tree per (source, fault) query, in one batch.
-    /// let mut batch = BatchScratch::with_capacity(g.n());
+    /// // One selected tree per (source, fault) query, in one sweep.
+    /// let mut sweep = SweepScratch::new();
     /// let mut hops = Vec::new();
-    /// dijkstra_batch(
+    /// dijkstra_sweep(
     ///     scheme.graph(),
     ///     &sources,
     ///     &faults,
     ///     scheme.directed_costs(),
-    ///     &mut batch,
-    ///     |_s, _f, result| {
-    ///         hops.push(result.hops(8));
+    ///     &mut sweep,
+    ///     |_s, _f, tree| {
+    ///         hops.push(tree.hops(8));
     ///         ControlFlow::Continue(())
     ///     },
     /// );
     /// assert_eq!(hops.len(), sources.len() * faults.len());
     /// assert!(hops.iter().all(|h| h.is_some()), "grid survives one fault");
+    /// // Theorem 20 weights are tie-free: the kernel answers queries.
+    /// assert!(sweep.stats().repaired > 0);
     /// ```
     pub fn directed_costs(&self) -> DirectedCosts<'_, C> {
         DirectedCosts::new(&self.fwd, &self.bwd)
@@ -370,7 +373,7 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
     fn new_scratch(&self) -> RptsScratch {
         RptsScratch::from_value(ExactPayload {
             single: SearchScratch::<C>::with_capacity(self.graph.n()),
-            batch: BatchScratch::<C>::with_capacity(self.graph.n()),
+            sweep: SweepScratch::<C>::new(),
         })
     }
 
@@ -424,16 +427,15 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
         visitor: &mut dyn FnMut(usize, usize, BfsTree) -> ControlFlow<()>,
     ) {
         match scratch.downcast_mut::<ExactPayload<C>>() {
-            // One fault set leaves nothing to share: the batch would pay
-            // for a fault-free baseline, its checkpoints and an O(m) edge
-            // index before its only query.
-            Some(p) if fault_sets.len() > 1 => rsp_graph::dijkstra_batch(
+            // One fault set leaves nothing to share: the sweep would pay
+            // for a fault-free base run before its only query.
+            Some(p) if fault_sets.len() > 1 => rsp_graph::dijkstra_sweep(
                 &self.graph,
                 sources,
                 fault_sets,
                 DirectedCosts::new(&self.fwd, &self.bwd),
-                &mut p.batch,
-                |si, fi, result| visitor(si, fi, result.to_bfs_tree()),
+                &mut p.sweep,
+                |si, fi, tree| visitor(si, fi, tree.to_bfs_tree()),
             ),
             _ => {
                 for (si, &s) in sources.iter().enumerate() {
@@ -554,7 +556,7 @@ mod tests {
             .chain([FaultSet::from_edges([0, 2])])
             .collect();
         let mut scratch = s.new_scratch();
-        // The batch (several fault sets) and the per-query loop (one set,
+        // The sweep (several fault sets) and the per-query loop (one set,
         // here a single fault) must both visit the per-query trees.
         for fault_sets in [&fault_sets[..], &fault_sets[1..2]] {
             let mut visited = 0usize;
@@ -579,6 +581,26 @@ mod tests {
             ControlFlow::Continue(())
         });
         assert_eq!(fallback, sources.len() * fault_sets.len());
+    }
+
+    #[test]
+    fn for_each_tree_on_a_tied_scheme_matches_per_query_trees() {
+        // Uniform costs tie on every grid cell: the sweep searches every
+        // query and still visits the per-query trees.
+        let g = generators::grid(3, 3);
+        let s = ExactScheme::from_costs(g.clone(), vec![10u64; g.m()], vec![10u64; g.m()], 10, 0);
+        let sources: Vec<Vertex> = g.vertices().collect();
+        let fault_sets: Vec<FaultSet> = (0..g.m()).map(FaultSet::single).collect();
+        let mut visited = 0usize;
+        s.for_each_tree(&sources, &fault_sets, &mut s.new_scratch(), &mut |si, fi, tree| {
+            visited += 1;
+            let plain = s.tree_from(sources[si], &fault_sets[fi]);
+            for t in g.vertices() {
+                assert_eq!(tree.parent(t), plain.parent(t), "s{si} f{fi} parent({t})");
+            }
+            ControlFlow::Continue(())
+        });
+        assert_eq!(visited, sources.len() * fault_sets.len());
     }
 
     #[test]

@@ -139,10 +139,9 @@ fn all_source_trees<S: Rpts>(
 /// given fault set.
 ///
 /// Queries go through the batched [`Rpts::for_each_tree`] engine; trees
-/// for one source are computed for all fault sets together, sharing the
-/// settled search prefix where the fault sets allow (resuming from
-/// mid-run checkpoints when the batch engine captured them — see
-/// `rsp_graph::dijkstra_batch`).
+/// for one source are computed for all fault sets together, each repaired
+/// from the source's fault-free tree by the repair kernel where the
+/// weights leave it forced (see `rsp_graph::dijkstra_sweep`).
 ///
 /// # Errors
 ///

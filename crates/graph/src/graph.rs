@@ -33,8 +33,8 @@ pub const MAX_VERTICES: usize = (u32::MAX - 1) as usize;
 ///
 /// Each edge occupies two CSR adjacency slots and the CSR offsets are
 /// stored as `u32`, so `2m` must fit in a `u32`; edge ids additionally
-/// reserve `u32::MAX` as a sentinel (the batch engine's "never examined"
-/// marker). [`GraphBuilder::add_edge`] rejects further edges with a typed
+/// reserve `u32::MAX` as a sentinel (the "no parent edge" of a tree
+/// cell, [`crate::repair::NONE`]). [`GraphBuilder::add_edge`] rejects further edges with a typed
 /// [`GraphError::TooManyEdges`].
 pub const MAX_EDGES: usize = ((u32::MAX - 1) / 2) as usize;
 

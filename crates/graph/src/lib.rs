@@ -25,16 +25,15 @@
 //!   stamping, a dirty list, and one flat lazy heap of inline `(cost,
 //!   vertex)` entries for every cost type make repeated `(source, fault
 //!   set)` queries allocation-free;
-//! * [`BatchScratch`] with [`dijkstra_batch`] — the batch engine over
-//!   `sources × fault_sets` behind `rsp_core`'s `for_each_tree` sweeps:
-//!   fault sets agreeing on the early search frontier share the settled
-//!   prefix of a per-source baseline run instead of searching from
-//!   scratch, resuming from mid-run checkpoints where the resume point
-//!   lies past one and reporting how every query was answered through
-//!   [`BatchStats`]. Checkpointing is always on: its off switch, the BFS
-//!   batch and the parallel batch wrappers were removed, as no production
-//!   code used them and the checkpoint-free batch lost to per-query search
-//!   on dense graphs;
+//! * [`dijkstra_sweep`] with [`SweepScratch`] — the `sources ×
+//!   fault_sets` sweep behind `rsp_core`'s `for_each_tree`: one
+//!   fault-free run per source, each fault set applied edge by edge by
+//!   the repair kernel, a search on a tie ([`SweepStats`]). It replaced
+//!   the prefix-sharing batch engine and its hooks in the search loop;
+//! * [`repair`] — the repair kernel behind the sweep and `rsp_oracle`'s
+//!   delta commits: detach the subtree below a failed tree edge and
+//!   reattach it (or spread a restored edge's decrease) in the engine's
+//!   `(cost, vertex)` order over an overlay of a base tree, refusing ties;
 //! * [`parallel_indexed`] — worker-pool fan-out over sources
 //!   (`std::thread::scope`, one scratch per worker, deterministic
 //!   index-ordered results);
@@ -47,7 +46,7 @@
 //! * [`SubtreeScratch`] / [`tree_edge_child`] — cut/subtree helpers
 //!   over parent-pointer trees: which endpoint of a failed edge is the
 //!   child, and the detached subtree below it in work proportional to
-//!   the subtree (the substrate of `rsp_oracle`'s delta commits);
+//!   the subtree (the repair kernel's detach step);
 //! * [`NextHopTable`] — routing tables in the MPLS sense (consistency of a
 //!   tiebreaking scheme is exactly what makes these well defined);
 //! * [`generators`] — the graph families used across tests and experiments,
@@ -61,7 +60,7 @@
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
 //! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), the preserver
+//! engine (scratch -> repair kernel and sweep -> pool/frontier), the preserver
 //! enumeration pipeline, and the serving layer (its "Serving layer"
 //! chapter — `rsp_oracle` serves this crate's query engine behind
 //! immutable snapshots and epoch-swapped lock-free readers).
@@ -74,7 +73,8 @@
 //! | [`FaultSet`] | the fault set `F`, `\|F\| ≤ f`; `G \ F` everywhere |
 //! | [`bfs`], [`bfs_into`] | ground-truth `dist_{G\F}`, the quantity every theorem bounds |
 //! | [`dijkstra`], [`dijkstra_into`] | unique shortest paths in the perturbed `G* \ F` (Definition 18) |
-//! | [`dijkstra_batch`], [`parallel_indexed`] | experiment scaling: the `sources × fault_sets` query loops behind Sections 3–4 |
+//! | [`dijkstra_sweep`], [`parallel_indexed`] | experiment scaling: the `sources × fault_sets` query loops behind Sections 3–4 |
+//! | [`repair`] | the single-fault change Theorem 20's unique paths allow: only the subtree below a failed tree edge moves |
 //! | [`NextHopTable`] | Section 1's MPLS routing-table deployment |
 //! | [`generators`] | Theorem 37's 4-cycle, tie-rich grids/hypercubes, G(n,m) workloads |
 //!
@@ -96,7 +96,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod batch;
 mod bfs;
 mod builder;
 mod connectivity;
@@ -111,13 +110,14 @@ pub mod journal;
 mod path;
 mod pool;
 pub mod reference;
+pub mod repair;
 mod routing;
 mod scratch;
 mod spt;
+mod sweep;
 mod tree;
 mod weights;
 
-pub use batch::{dijkstra_batch, BatchScratch, BatchStats};
 pub use bfs::{bfs, bfs_all_pairs, BfsTree};
 pub use builder::{GraphBuilder, GraphError};
 pub use connectivity::{components, connected_pair, diameter, is_connected, is_connected_avoiding};
@@ -131,5 +131,6 @@ pub use pool::{default_workers, parallel_frontier, parallel_indexed, FrontierSta
 pub use routing::NextHopTable;
 pub use scratch::{bfs_into, dijkstra_into, DirectedCosts, EdgeCostSource, SearchScratch};
 pub use spt::WeightedSpt;
+pub use sweep::{dijkstra_sweep, SweepScratch, SweepStats, SweepView};
 pub use tree::{tree_edge_child, SubtreeScratch};
 pub use weights::{weighted_sssp, EdgeWeights};

@@ -50,19 +50,6 @@ use crate::graph::{EdgeId, Graph, Vertex};
 use crate::path::Path;
 use crate::spt::WeightedSpt;
 
-/// `heap_pos` marker: the vertex is settled (or was never enqueued).
-///
-/// The lazy heap tracks no positions; `heap_pos` carries only this
-/// settled/open distinction (written at discovery, at settle, and during
-/// batch prefix copies), which the batch engine's replay needs to skip
-/// fully-resolved prefix-internal edges. Keeping it a `u32` lets
-/// [`SearchScratch::begin`] assert that every vertex id fits below it.
-pub(crate) const SETTLED: u32 = u32::MAX;
-
-/// `heap_pos` marker for "discovered but not settled". Any value other
-/// than [`SETTLED`] works.
-pub(crate) const OPEN: u32 = 0;
-
 /// Supplies directed edge costs to [`dijkstra_into`] as `base + w(e, from
 /// → to)`, returned by value.
 ///
@@ -168,8 +155,6 @@ pub struct SearchScratch<C = u32> {
     /// layout — parent writes are on every relaxation's hot path.
     pub(crate) parent: Vec<(u32, u32)>,
     pub(crate) hops: Vec<u32>,
-    /// Settled/open marker per vertex ([`SETTLED`] or [`OPEN`]).
-    pub(crate) heap_pos: Vec<u32>,
     /// Flat lazy min-heap of inline `(cost, vertex)` entries, vertex ids
     /// stored as `u32` so a `(u32, u32)` entry is a single 8-byte word.
     /// Improved keys are pushed as fresh entries; stale entries are
@@ -203,7 +188,6 @@ impl<C: PathCost> SearchScratch<C> {
             key: Vec::new(),
             parent: Vec::new(),
             hops: Vec::new(),
-            heap_pos: Vec::new(),
             lazy: BinaryHeap::with_capacity(n),
             queue: VecDeque::with_capacity(n),
             touched: Vec::with_capacity(n),
@@ -218,7 +202,6 @@ impl<C: PathCost> SearchScratch<C> {
             self.key.resize_with(n, C::zero);
             self.parent.resize(n, (0, 0));
             self.hops.resize(n, 0);
-            self.heap_pos.resize(n, SETTLED);
         }
     }
 
@@ -226,7 +209,7 @@ impl<C: PathCost> SearchScratch<C> {
     /// invisible in `O(1)` (amortized: a full clear happens only when the
     /// 32-bit epoch wraps, once per ~4 billion queries).
     pub(crate) fn begin(&mut self, n: usize, source: Vertex, weighted: bool) {
-        assert!(n < SETTLED as usize, "graph too large for the scratch's u32 vertex ids");
+        assert!(n < u32::MAX as usize, "graph too large for the scratch's u32 vertex ids");
         self.grow(n);
         if self.epoch == u32::MAX {
             self.stamp.fill(0);
@@ -384,29 +367,6 @@ impl<C: PathCost> Default for SearchScratch<C> {
     }
 }
 
-/// Hooks into the Dijkstra loop, called as the search progresses.
-///
-/// The batch engine ([`crate::batch`]) records settle order and the
-/// per-step tie flag through this trait to decide how much of a fault-free
-/// baseline run a faulted query can reuse. The no-op [`NoObserver`]
-/// compiles away, keeping the plain [`dijkstra_into`] hot path unchanged.
-pub(crate) trait SearchObserver {
-    /// A vertex left the heap and its final cost is fixed. Called *before*
-    /// its edges relax.
-    #[inline]
-    fn popped(&mut self, _v: Vertex) {}
-
-    /// All edges of the popped vertex have been relaxed; `ties` is the
-    /// cumulative tie flag.
-    #[inline]
-    fn relaxed(&mut self, _ties: bool) {}
-}
-
-/// The do-nothing observer behind the public single-query entry points.
-pub(crate) struct NoObserver;
-
-impl SearchObserver for NoObserver {}
-
 /// Runs BFS from `source` in `g \ faults` into `scratch`, allocation-free
 /// once the scratch is warm.
 ///
@@ -462,131 +422,59 @@ pub fn dijkstra_into<C, F>(
     g: &Graph,
     source: Vertex,
     faults: &FaultSet,
-    costs: F,
-    scratch: &mut SearchScratch<C>,
-) where
-    C: PathCost,
-    F: EdgeCostSource<C>,
-{
-    dijkstra_seed(g, source, scratch);
-    dijkstra_run(g, faults, costs, scratch, &mut NoObserver, usize::MAX);
-}
-
-/// Opens a weighted query generation and enqueues the source, leaving the
-/// scratch ready for [`dijkstra_run`]. Split out so the batch engine can
-/// interleave bounded run segments with checkpoint captures.
-pub(crate) fn dijkstra_seed<C: PathCost>(
-    g: &Graph,
-    source: Vertex,
-    scratch: &mut SearchScratch<C>,
-) {
-    assert!(source < g.n(), "dijkstra source {source} out of range");
-    scratch.begin(g.n(), source, true);
-    scratch.stamp[source] = scratch.epoch;
-    scratch.key[source].set_zero();
-    scratch.hops[source] = 0;
-    scratch.touched.push(source as u32);
-    scratch.heap_pos[source] = OPEN;
-    scratch.lazy.push(Reverse((scratch.key[source].clone(), source as u32)));
-}
-
-/// Relaxes the single candidate route `u —e→ v` against `v`'s current
-/// state. `cand` is the candidate cost `key[u] + w(e)`.
-///
-/// A strictly better route pushes a fresh `(cost, vertex)` entry (the old
-/// entry goes stale and is skipped at pop), an equal-cost route flags a tie
-/// whether `v` is open or settled, and a worse route is ignored. A strictly
-/// better route into a *settled* vertex cannot occur with non-negative
-/// costs, which is what lets this skip the open/settled distinction — except
-/// for the one-time [`OPEN`] marker at discovery, kept so the batch
-/// engine's prefix replay can tell copied-settled vertices apart.
-///
-/// Shared verbatim between the main loop and the batch engine's prefix
-/// replay — the decision structure (and therefore parent selection and tie
-/// detection) must be identical in both.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn relax<C: PathCost>(
-    u: Vertex,
-    v: Vertex,
-    e: EdgeId,
-    epoch: u32,
-    cand: C,
-    stamp: &mut [u32],
-    key: &mut [C],
-    parent: &mut [(u32, u32)],
-    hops: &mut [u32],
-    lazy: &mut BinaryHeap<Reverse<(C, u32)>>,
-    heap_pos: &mut [u32],
-    touched: &mut Vec<u32>,
-    ties: &mut bool,
-) {
-    if stamp[v] != epoch {
-        stamp[v] = epoch;
-        key[v].clone_from(&cand);
-        parent[v] = (u as u32, e as u32);
-        hops[v] = hops[u] + 1;
-        heap_pos[v] = OPEN;
-        touched.push(v as u32);
-        lazy.push(Reverse((cand, v as u32)));
-    } else {
-        match cand.cmp(&key[v]) {
-            Ordering::Less => {
-                key[v].clone_from(&cand);
-                parent[v] = (u as u32, e as u32);
-                hops[v] = hops[u] + 1;
-                lazy.push(Reverse((cand, v as u32)));
-            }
-            // Equal-cost routes are ties, whether v is open or settled.
-            Ordering::Equal => *ties = true,
-            Ordering::Greater => {}
-        }
-    }
-}
-
-/// The Dijkstra main loop over whatever open set the lazy heap currently
-/// holds; also the continuation step of a batch resume.
-///
-/// Settles at most `limit` vertices, leaving the scratch consistent and
-/// resumable when the budget runs out (how the batch engine pauses the
-/// baseline run to capture checkpoints). Pass `usize::MAX` to drain.
-pub(crate) fn dijkstra_run<C, F, O>(
-    g: &Graph,
-    faults: &FaultSet,
     mut costs: F,
     scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-    limit: usize,
 ) where
     C: PathCost,
     F: EdgeCostSource<C>,
-    O: SearchObserver,
 {
-    let SearchScratch { epoch, stamp, key, parent, hops, lazy, heap_pos, touched, ties, .. } =
-        scratch;
+    assert!(source < g.n(), "dijkstra source {source} out of range");
+    scratch.begin(g.n(), source, true);
+    let SearchScratch { epoch, stamp, key, parent, hops, lazy, touched, ties, .. } = scratch;
     let epoch = *epoch;
+    stamp[source] = epoch;
+    key[source].set_zero();
+    hops[source] = 0;
+    touched.push(source as u32);
+    lazy.push(Reverse((key[source].clone(), source as u32)));
 
-    let mut budget = limit;
-    while budget > 0 {
-        let Some(Reverse((c, u))) = lazy.pop() else { break };
+    while let Some(Reverse((c, u))) = lazy.pop() {
         let u = u as usize;
         if key[u] != c {
             // Stale entry: u was re-pushed with a better key (and that
             // entry either settled u already or still precedes this one).
             continue;
         }
-        // The settled marker the batch engine's frontier filters read.
-        heap_pos[u] = SETTLED;
-        budget -= 1;
-        obs.popped(u);
         for (v, e) in g.neighbors(u) {
             if faults.contains(e) {
                 continue;
             }
             let cand = costs.compute(&c, e, u, v);
-            relax(u, v, e, epoch, cand, stamp, key, parent, hops, lazy, heap_pos, touched, ties);
+            if stamp[v] != epoch {
+                stamp[v] = epoch;
+                key[v].clone_from(&cand);
+                parent[v] = (u as u32, e as u32);
+                hops[v] = hops[u] + 1;
+                touched.push(v as u32);
+                lazy.push(Reverse((cand, v as u32)));
+                continue;
+            }
+            // A strictly better route pushes a fresh entry (the old one
+            // goes stale), an equal-cost route is a tie whether v is open
+            // or settled, and a worse route is ignored. A strictly better
+            // route into a settled vertex cannot occur with non-negative
+            // costs.
+            match cand.cmp(&key[v]) {
+                Ordering::Less => {
+                    key[v].clone_from(&cand);
+                    parent[v] = (u as u32, e as u32);
+                    hops[v] = hops[u] + 1;
+                    lazy.push(Reverse((cand, v as u32)));
+                }
+                Ordering::Equal => *ties = true,
+                Ordering::Greater => {}
+            }
         }
-        obs.relaxed(*ties);
     }
 }
 

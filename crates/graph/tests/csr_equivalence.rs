@@ -1,8 +1,9 @@
 //! CSR-core differential suite: every production engine — `bfs_into` /
-//! `dijkstra_into` for `u64`, `u128` and `BigInt` costs, `dijkstra_batch`
-//! over every resume route and cost type, and the `parallel_indexed`
-//! fan-out over sources at 1/2/8 workers — must be cell-identical (costs, hop counts, parents, tie flags, reachable
-//! counts) to the pre-migration Vec-of-Vec reference engine preserved in
+//! `dijkstra_into` for `u64`, `u128` and `BigInt` costs, `dijkstra_sweep`
+//! over both of its routes and every cost type, and the `parallel_indexed`
+//! fan-out over sources at 1/2/8 workers — must be cell-identical (costs,
+//! hop counts, parents, reachable counts, and the single-query engine's
+//! tie flags) to the pre-migration Vec-of-Vec reference engine preserved in
 //! [`rsp_graph::reference`], on every generator family the workloads use:
 //! `G(n,m)`, grids, hypercubes, preferential attachment, Watts–Strogatz,
 //! and the ISP core/edge hierarchy.
@@ -13,8 +14,8 @@ use proptest::prelude::*;
 use rsp_arith::{BigInt, PathCost};
 use rsp_graph::reference::{ref_bfs, ref_dijkstra, RefGraph, RefTree};
 use rsp_graph::{
-    bfs_into, dijkstra_batch, dijkstra_into, gen, generators, parallel_indexed, BatchScratch,
-    DirectedCosts, FaultSet, Graph, SearchScratch, Vertex,
+    bfs_into, dijkstra_into, dijkstra_sweep, gen, generators, parallel_indexed, DirectedCosts,
+    FaultSet, Graph, SearchScratch, SweepScratch, Vertex,
 };
 
 /// One graph drawn from the six generator families the differential suite
@@ -80,10 +81,9 @@ fn u64_cost(e: usize, from: Vertex, to: Vertex) -> u64 {
     1_000_000 + (e as u64 * 17) % 1000 + u64::from(from < to) * 3
 }
 
-/// Runs `dijkstra_batch` and asserts every cell equals the reference
-/// matrix, whichever route (baseline, checkpoint, replay, full search)
-/// answered it.
-fn batch_equals_reference<C: PathCost>(
+/// Runs `dijkstra_sweep` and asserts every cell equals the reference
+/// matrix, whichever route (repaired, searched) answered it.
+fn sweep_equals_reference<C: PathCost>(
     g: &Graph,
     srcs: &[Vertex],
     fs: &[FaultSet],
@@ -92,12 +92,18 @@ fn batch_equals_reference<C: PathCost>(
     let r = RefGraph::from_graph(g);
     let spec: Vec<Vec<RefTree<C>>> =
         srcs.iter().map(|&s| fs.iter().map(|f| ref_dijkstra(&r, s, f, cost)).collect()).collect();
-    let mut batch = BatchScratch::<C>::new();
-    dijkstra_batch(g, srcs, fs, cost, &mut batch, |si, fi, result| {
-        assert_dijkstra_matches(g, result, &spec[si][fi]);
+    let mut sweep = SweepScratch::<C>::new();
+    dijkstra_sweep(g, srcs, fs, cost, &mut sweep, |si, fi, tree| {
+        let spec = &spec[si][fi];
+        for v in g.vertices() {
+            assert_eq!(tree.cost(v), spec.cost[v].as_ref(), "cost({v})");
+            assert_eq!(tree.hops(v), spec.reached(v).then_some(spec.hops[v]), "hops({v})");
+            assert_eq!(tree.parent(v), spec.parent[v], "parent({v})");
+        }
+        assert_eq!(tree.reachable_count(), spec.reachable_count(), "reachable count");
         ControlFlow::Continue(())
     });
-    assert_eq!(batch.stats().queries, srcs.len() * fs.len());
+    assert_eq!(sweep.stats().queries(), srcs.len() * fs.len());
 }
 
 proptest! {
@@ -169,13 +175,13 @@ proptest! {
         }
     }
 
-    /// `dijkstra_batch` — every resume route ("mode": baseline,
-    /// checkpoint, replay, full search), for `u64` and `BigInt` costs —
-    /// equals the reference on every cell of the `sources × fault_sets`
-    /// plan. Near-colliding costs make tie flags part of the comparison;
-    /// `BigInt` covers checkpoint restore of heap-allocated costs.
+    /// `dijkstra_sweep` — both routes (repaired over the base run, and
+    /// searched where a tie leaves the tree unforced), for `u64` and
+    /// `BigInt` costs — equals the reference on every cell of the
+    /// `sources × fault_sets` plan. Near-colliding costs exercise both
+    /// routes; `BigInt` covers the kernel's heap-allocated costs.
     #[test]
-    fn batch_equals_reference_under_all_modes_and_costs(
+    fn sweep_equals_reference_under_all_routes_and_costs(
         g in family_graph(),
         fault_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..6),
         source_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..4),
@@ -196,8 +202,8 @@ proptest! {
         let cost = |e: usize, from: Vertex, to: Vertex| {
             1_000u64 + (e as u64 * 17) % 3 + u64::from(from < to)
         };
-        batch_equals_reference(&g, &srcs, &fs, cost);
-        batch_equals_reference(&g, &srcs, &fs, |e, from, to| BigInt::from(cost(e, from, to) as i64));
+        sweep_equals_reference(&g, &srcs, &fs, cost);
+        sweep_equals_reference(&g, &srcs, &fs, |e, from, to| BigInt::from(cost(e, from, to) as i64));
     }
 
     /// `parallel_indexed` over sources at 1, 2, and 8 workers (one

@@ -9,27 +9,23 @@
 //! proportional to the *change*. [`DeltaBuilder`] delivers that:
 //!
 //! * **Fault arrival** (edge `e` fails): per source row, if `e` is not
-//!   a tree edge the row is **provably unchanged** (removing a non-tree
-//!   edge deletes no selected path and creates none) and is shared with
+//!   a tree edge the row is **provably unchanged** and is shared with
 //!   the predecessor snapshot by [`std::sync::Arc`] clones of its base
-//!   and its cell list — zero copy, zero recompute. If `e` is a tree
-//!   edge, the detached subtree is collected in work proportional to
-//!   its degree sum ([`rsp_graph::SubtreeScratch`]), its cells are
-//!   cleared, and the subtree is reattached by **best-swap selection**: every non-tree
-//!   edge crossing the cut seeds a candidate (`cost[outside] + w`) and
-//!   a localized Dijkstra wave settles only the detached vertices, in
-//!   exactly the engine's `(cost, vertex)` order.
-//! * **Fault repair** (edge `e` restored): the endpoints are relaxed
-//!   through `e`; if neither strictly improves the row is unchanged
-//!   (shared), otherwise a decrease-propagation wave (Ramalingam–Reps
-//!   style) re-settles exactly the improved region.
+//!   and its cell list — zero copy, zero recompute. Otherwise the
+//!   repair kernel ([`rsp_graph::repair`]) detaches the subtree below
+//!   `e` and reattaches it by best-swap selection, settling only the
+//!   detached vertices in the engine's `(cost, vertex)` order.
+//! * **Fault repair** (edge `e` restored): the kernel relaxes `e` at its
+//!   endpoints; if neither strictly improves the row is unchanged
+//!   (shared), otherwise a decrease wave re-settles the improved region.
 //! * **Batched events** are applied as sequential exact patches: each
 //!   step patches against the correct intermediate fault set, so the
 //!   final rows equal a from-scratch build at the target set.
 //!
 //! **Storage: cells, not rows.** A patch never writes a row's base
-//! arrays. It loads the row's cell list into a dense overlay, writes
-//! the cells it recomputes there, and gives the row a new cell list:
+//! arrays. It loads the row's cell list into the kernel's dense overlay
+//! over the base, the kernel writes the cells it recomputes there, and
+//! the row gets a new cell list:
 //! every overlay cell that differs from the base, sorted by vertex
 //! (see [`crate::OracleSnapshot::patched_cells`]). A cell patched back
 //! to its base value leaves the list, so lists track how far a row has
@@ -45,8 +41,8 @@
 //! selected SPT per source is unique and any correct localized
 //! recomputation must reproduce it cell for cell. Where that assumption
 //! could bite — a genuine cost tie surfacing inside a patched region —
-//! the builder detects the tie during relaxation and **refuses**
-//! ([`DeltaUnsupported::TieDetected`]) instead of guessing, and the
+//! the kernel detects the tie during relaxation and the builder
+//! **refuses** ([`DeltaUnsupported::TieDetected`]) instead of guessing, and the
 //! churn pipeline falls back to the canonical full rebuild. The
 //! pipeline additionally keeps its sampled `spt_into` cross-check as
 //! the runtime correctness gate on every delta-built snapshot, and
@@ -94,15 +90,11 @@
 //! assert_eq!(on_base, g.n() - stats.rows_materialized);
 //! ```
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-
 use rsp_arith::PathCost;
-use rsp_graph::{
-    tree_edge_child, DirectedCosts, EdgeCostSource, EdgeId, FaultSet, Graph, SubtreeScratch, Vertex,
-};
+use rsp_graph::repair::{RepairScratch, Tie};
+use rsp_graph::{tree_edge_child, EdgeId, FaultSet, Vertex};
 
-use crate::snapshot::{BuildError, Cell, CellRef, ListCell, OracleSnapshot, TreeRow, NONE};
+use crate::snapshot::{BuildError, ListCell, OracleSnapshot, RowBase};
 
 /// A row's cell list may replace at most `n / MATERIALIZE_SHARE` of its
 /// `n` cells: [`DeltaBuilder::build`] folds a longer list into a fresh
@@ -242,31 +234,42 @@ impl<'a, C: PathCost + 'static> DeltaBuilder<'a, C> {
         snap.set_version(self.version);
 
         let sources = self.prev.sources();
-        let mut patcher = Patcher::new(g, self.prev.scheme().directed_costs());
+        let mut costs = self.prev.scheme().directed_costs();
+        let mut kernel = RepairScratch::new();
+        let mut list = Vec::new();
         let mut cur = base.clone();
 
         for &e in &arrivals {
             cur.insert(e);
             for (row, &s) in sources.iter().enumerate() {
-                patcher
-                    .patch_arrival(&mut snap, row, s, e, &cur)
-                    .map_err(DeltaError::Unsupported)?;
+                // Off-tree arrivals leave the row unchanged (and shared):
+                // checked on the row itself, before loading its list.
+                let r = snap.row(row);
+                if tree_edge_child(g, e, |v| r.parent(g, v)).is_none() {
+                    continue;
+                }
+                patch(&mut snap, row, s, &mut kernel, &mut list, |k, b| {
+                    k.arrival(g, b, e, &cur, &mut costs)
+                })?;
             }
         }
         for &e in &repairs {
             cur.remove(e);
             for (row, &s) in sources.iter().enumerate() {
-                patcher
-                    .patch_repair(&mut snap, row, s, e, &cur)
-                    .map_err(DeltaError::Unsupported)?;
+                patch(&mut snap, row, s, &mut kernel, &mut list, |k, b| {
+                    k.repair(g, b, e, &cur, &mut costs)
+                })?;
             }
         }
 
         debug_assert_eq!(&cur, target, "diff steps reproduce the target fault set");
         snap.set_base_faults(cur);
 
-        let mut stats = patcher.stats;
-        stats.events_applied = arrivals.len() + repairs.len();
+        let mut stats = DeltaStats {
+            events_applied: arrivals.len() + repairs.len(),
+            cells_recomputed: kernel.adopted(),
+            ..DeltaStats::default()
+        };
         let list_cap = g.n() / MATERIALIZE_SHARE;
         for row in 0..sources.len() {
             let r = snap.row_mut(row);
@@ -284,265 +287,25 @@ impl<'a, C: PathCost + 'static> DeltaBuilder<'a, C> {
     }
 }
 
-/// Reusable per-build state for the localized patch waves: the lazy
-/// `(cost, vertex)` heap, the subtree scratch and the overlay of the
-/// row under patch — allocated once, reused across every `(event, row)`
-/// pair.
-struct Patcher<'g, C: PathCost> {
-    g: &'g Graph,
-    costs: DirectedCosts<'g, C>,
-    heap: BinaryHeap<Reverse<(C, Vertex)>>,
-    subtree: SubtreeScratch,
-    detached: Vec<Vertex>,
-    work: Overlay<C>,
+/// Runs one kernel step on one row: loads the row's cell list over its
+/// base, and gives the row a new list if the step changed the tree.
+fn patch<C: PathCost + 'static>(
+    snap: &mut OracleSnapshot<C>,
+    row: usize,
     source: Vertex,
-    stats: DeltaStats,
-}
-
-impl<'g, C: PathCost + 'static> Patcher<'g, C> {
-    fn new(g: &'g Graph, costs: DirectedCosts<'g, C>) -> Self {
-        Patcher {
-            g,
-            costs,
-            heap: BinaryHeap::new(),
-            subtree: SubtreeScratch::with_capacity(g.n()),
-            detached: Vec::new(),
-            work: Overlay::new(g.n()),
-            source: 0,
-            stats: DeltaStats::default(),
-        }
+    kernel: &mut RepairScratch<C>,
+    list: &mut Vec<ListCell<C>>,
+    step: impl FnOnce(&mut RepairScratch<C>, &RowBase<C>) -> Result<bool, Tie>,
+) -> Result<(), DeltaError> {
+    let r = snap.row(row);
+    kernel.begin(r.n());
+    for c in r.list() {
+        kernel.set(c.v as Vertex, c.cell.clone());
     }
-
-    /// Applies the arrival of `e` to one row. `cur` already contains
-    /// `e`. Rows where `e` is off-tree are untouched (and stay shared).
-    fn patch_arrival(
-        &mut self,
-        snap: &mut OracleSnapshot<C>,
-        row_idx: usize,
-        source: Vertex,
-        e: EdgeId,
-        cur: &FaultSet,
-    ) -> Result<(), DeltaUnsupported> {
-        self.source = source;
-        let g = self.g;
-
-        // Read phase: is `e` a tree edge, and what hangs below it?
-        let row = snap.row(row_idx);
-        let Some(child) = tree_edge_child(g, e, |v| row.parent(g, v)) else {
-            return Ok(());
-        };
-        let mut detached = std::mem::take(&mut self.detached);
-        self.subtree.collect_subtree(g, child, |v| row.parent(g, v), &mut detached);
-
-        // Write phase, into the overlay: clear the detached cells, seed
-        // every cut-crossing candidate (best-swap selection: the
-        // cheapest reattachment per vertex wins in the heap), and
-        // settle the subtree.
-        self.work.begin(row);
-        self.heap.clear();
-        for &w in &detached {
-            self.work.set(w, Cell::unreached());
-        }
-        let mut outcome = Ok(());
-        'seed: for &w in &detached {
-            for (x, e2) in g.neighbors(w) {
-                // Seed only from *outside* the cut: intra-subtree edges
-                // are the wave's job, and relaxing one here would replay
-                // the identical candidate later — a spurious "tie".
-                if cur.contains(e2)
-                    || self.subtree.contains(x)
-                    || self.work.get(row, x).hops() == NONE
-                {
-                    continue;
-                }
-                if let Err(u) = self.relax(row, x, e2, w) {
-                    outcome = Err(u);
-                    break 'seed;
-                }
-            }
-        }
-        self.detached = detached;
-        outcome?;
-        self.wave(row, cur)?;
-        // Detached vertices the wave never reached keep their cleared
-        // (unreachable) cells — exactly what a full rebuild stores.
-        self.work.commit(snap.row_mut(row_idx));
-        Ok(())
+    let changed = step(kernel, r.base())
+        .map_err(|Tie| DeltaError::Unsupported(DeltaUnsupported::TieDetected { source }))?;
+    if changed {
+        snap.row_mut(row).set_list(kernel.cells(), list);
     }
-
-    /// Applies the repair of `e` to one row. `cur` no longer contains
-    /// `e`. Rows neither endpoint of `e` improves are untouched.
-    fn patch_repair(
-        &mut self,
-        snap: &mut OracleSnapshot<C>,
-        row_idx: usize,
-        source: Vertex,
-        e: EdgeId,
-        cur: &FaultSet,
-    ) -> Result<(), DeltaUnsupported> {
-        self.source = source;
-        let (u, v) = self.g.endpoints(e);
-        let row = snap.row(row_idx);
-
-        // Read phase: does the restored edge strictly improve an
-        // endpoint? At most one side can (positive weights), and an
-        // exact cost tie is a refusal, not a guess.
-        let improved = {
-            let cu = row.cell(u).expect("edge endpoints are in range");
-            let cv = row.cell(v).expect("edge endpoints are in range");
-            let u_reached = cu.hops() != NONE;
-            let v_reached = cv.hops() != NONE;
-            let mut improved = None;
-            if u_reached {
-                let cand = self.costs.compute(cu.cost(), e, u, v);
-                if !v_reached {
-                    improved = Some((u, v));
-                } else {
-                    match cand.cmp(cv.cost()) {
-                        Ordering::Less => improved = Some((u, v)),
-                        Ordering::Equal => {
-                            return Err(DeltaUnsupported::TieDetected { source });
-                        }
-                        Ordering::Greater => {}
-                    }
-                }
-            }
-            if improved.is_none() && v_reached {
-                let cand = self.costs.compute(cv.cost(), e, v, u);
-                if !u_reached {
-                    improved = Some((v, u));
-                } else {
-                    match cand.cmp(cu.cost()) {
-                        Ordering::Less => improved = Some((v, u)),
-                        Ordering::Equal => {
-                            return Err(DeltaUnsupported::TieDetected { source });
-                        }
-                        Ordering::Greater => {}
-                    }
-                }
-            }
-            improved
-        };
-        let Some((from, to)) = improved else { return Ok(()) };
-
-        // Write phase: adopt the improved endpoint and propagate the
-        // decrease until the wave dries up.
-        self.work.begin(row);
-        self.heap.clear();
-        self.relax(row, from, e, to)?;
-        self.wave(row, cur)?;
-        self.work.commit(snap.row_mut(row_idx));
-        Ok(())
-    }
-
-    /// Relaxes `from --e--> to` against the row's current cells:
-    /// adopt on strict improvement (or first reach), refuse on an exact
-    /// tie, ignore otherwise. Adopted vertices enter the heap.
-    fn relax(
-        &mut self,
-        row: &TreeRow<C>,
-        from: Vertex,
-        e: EdgeId,
-        to: Vertex,
-    ) -> Result<(), DeltaUnsupported> {
-        let f = self.work.get(row, from);
-        let hops = f.hops() + 1;
-        let cand = self.costs.compute(f.cost(), e, from, to);
-        let t = self.work.get(row, to);
-        if t.hops() != NONE {
-            match cand.cmp(t.cost()) {
-                Ordering::Greater => return Ok(()),
-                Ordering::Equal => {
-                    return Err(DeltaUnsupported::TieDetected { source: self.source })
-                }
-                Ordering::Less => {}
-            }
-        }
-        self.stats.cells_recomputed += 1;
-        self.heap.push(Reverse((cand.clone(), to)));
-        self.work.set(to, Cell { parent_edge: e as u32, hops, cost: cand });
-        Ok(())
-    }
-
-    /// Drains the heap in the engine's `(cost, vertex)` settle order,
-    /// relaxing every non-faulted edge out of each settled vertex.
-    /// Entries per vertex have strictly decreasing costs, so "cost
-    /// still current" is the complete staleness test.
-    fn wave(&mut self, row: &TreeRow<C>, cur: &FaultSet) -> Result<(), DeltaUnsupported> {
-        let g = self.g;
-        while let Some(Reverse((c, w))) = self.heap.pop() {
-            let cw = self.work.get(row, w);
-            if cw.hops() == NONE || c != *cw.cost() {
-                continue;
-            }
-            for (x, e2) in g.neighbors(w) {
-                if cur.contains(e2) {
-                    continue;
-                }
-                self.relax(row, w, e2, x)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The row under patch, dense: its list cells, loaded by
-/// [`Overlay::begin`], and every cell written since, read over the
-/// row's base. `cells[v]` is current iff `stamp[v] == epoch`, so a read
-/// is one stamp check and never searches the list.
-struct Overlay<C> {
-    stamp: Vec<u32>,
-    epoch: u32,
-    cells: Vec<Cell<C>>,
-    /// Vertices loaded or written since `begin`.
-    touched: Vec<u32>,
-    /// [`Overlay::commit`] scratch for the new list.
-    list: Vec<ListCell<C>>,
-}
-
-impl<C: PathCost> Overlay<C> {
-    fn new(n: usize) -> Self {
-        let mut cells = Vec::new();
-        cells.resize_with(n, Cell::unreached);
-        Overlay { stamp: vec![0; n], epoch: 0, cells, touched: Vec::new(), list: Vec::new() }
-    }
-
-    /// Starts patching `row`: loads its cell list.
-    fn begin(&mut self, row: &TreeRow<C>) {
-        self.touched.clear();
-        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
-            self.stamp.fill(0);
-            1
-        });
-        for c in row.list() {
-            self.set(c.v as Vertex, c.cell.clone());
-        }
-    }
-
-    /// `v`'s current cell: loaded or written since `begin`, else the
-    /// base's.
-    fn get<'a>(&'a self, row: &'a TreeRow<C>, v: Vertex) -> CellRef<'a, C> {
-        if self.stamp[v] == self.epoch {
-            CellRef::Owned(&self.cells[v])
-        } else {
-            row.base_cell(v)
-        }
-    }
-
-    fn set(&mut self, v: Vertex, cell: Cell<C>) {
-        if self.stamp[v] != self.epoch {
-            self.stamp[v] = self.epoch;
-            self.touched.push(v as u32);
-        }
-        self.cells[v] = cell;
-    }
-
-    /// Gives `row` its new cell list: every cell loaded or written
-    /// since `begin` that differs from the base. The base is never
-    /// written.
-    fn commit(&mut self, row: &mut TreeRow<C>) {
-        self.touched.sort_unstable();
-        let cells = &self.cells;
-        row.set_list(self.touched.iter().map(|&v| (v, &cells[v as usize])), &mut self.list);
-    }
+    Ok(())
 }

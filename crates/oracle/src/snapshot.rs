@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use rsp_arith::PathCost;
 use rsp_core::{ExactScheme, Rpts};
+use rsp_graph::repair::{Cell, TreeCells};
 use rsp_graph::{EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex};
 
 use crate::churn::inject::CellCorruption;
@@ -122,36 +123,13 @@ impl std::fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// Flat-array sentinel: "no parent" / "unreachable" / "not a serving
-/// source". Graph sizes are asserted below `u32::MAX`, so the sentinel
-/// never collides with a real vertex, edge, or hop count.
-pub(crate) const NONE: u32 = u32::MAX;
-
-/// One tree cell, owned: parent edge, hop count and exact cost.
-///
-/// The parent vertex is derived from the parent edge
-/// ([`TreeRow::parent`]).
-#[derive(Clone, Debug)]
-pub(crate) struct Cell<C> {
-    /// Edge id to the parent in the selected tree, [`NONE`] for the
-    /// source and unreachable vertices.
-    pub(crate) parent_edge: u32,
-    /// Hop count from the source, [`NONE`] when unreachable.
-    pub(crate) hops: u32,
-    /// Exact perturbed path cost; meaningful only where `hops` is not
-    /// [`NONE`] (unreachable cells hold `C::zero()`).
-    pub(crate) cost: C,
-}
-
-impl<C: PathCost> Cell<C> {
-    /// The unreached cell.
-    pub(crate) fn unreached() -> Self {
-        Cell { parent_edge: NONE, hops: NONE, cost: C::zero() }
-    }
-}
+/// source" — the repair kernel's cell sentinel. Graph sizes are asserted
+/// below `u32::MAX`, so it never collides with a real vertex, edge, or
+/// hop count.
+pub(crate) use rsp_graph::repair::NONE;
 
 /// One tree cell, borrowed where it is stored: in a row's base arrays
-/// (vertex `v` of them) or as an owned [`Cell`] (a listed cell, or a
-/// patcher's overlay). A field is loaded only when read, so a read that
+/// (vertex `v` of them) or as an owned [`Cell`] (a listed cell). A field is loaded only when read, so a read that
 /// needs the parent edge touches one base array, not three.
 pub(crate) enum CellRef<'a, C> {
     Base(&'a RowBase<C>, Vertex),
@@ -283,6 +261,25 @@ impl<C: PathCost> RowBase<C> {
     }
 }
 
+/// The base a delta commit's repair kernel patches over, with the row's
+/// cell list loaded into the kernel's overlay first.
+impl<C: PathCost> TreeCells<C> for RowBase<C> {
+    #[inline]
+    fn hops(&self, v: Vertex) -> u32 {
+        self.hops[v]
+    }
+
+    #[inline]
+    fn cost(&self, v: Vertex) -> &C {
+        &self.costs[v]
+    }
+
+    #[inline]
+    fn parent_edge(&self, v: Vertex) -> u32 {
+        self.parent_edge[v]
+    }
+}
+
 /// One canonical tree row: the cells of a single source's selected
 /// shortest-path tree, as a shared base plus a list of replaced cells.
 ///
@@ -363,10 +360,10 @@ impl<C: PathCost> TreeRow<C> {
         self.list.cells()
     }
 
-    /// `v`'s cell in the base, whatever the list says: for a patcher
-    /// that has loaded the list itself. Panics on out-of-range `v`.
-    pub(crate) fn base_cell(&self, v: Vertex) -> CellRef<'_, C> {
-        CellRef::Base(&self.base, v)
+    /// The row's base, whatever the list says: for a delta commit that
+    /// loads the list into its repair kernel itself.
+    pub(crate) fn base(&self) -> &RowBase<C> {
+        &self.base
     }
 
     /// Replaces the cell list with `cells` (sorted by vertex, distinct),
@@ -381,7 +378,7 @@ impl<C: PathCost> TreeRow<C> {
     {
         buf.clear();
         for (v, cell) in cells {
-            if !self.base_cell(v as Vertex).equals(cell) {
+            if !CellRef::Base(&self.base, v as Vertex).equals(cell) {
                 buf.push(ListCell { v, cell: cell.clone() });
             }
         }

@@ -2,13 +2,15 @@
 //! produces — fast path or engine path, through a snapshot directly or
 //! through an epoch-swapped reader — must be byte-identical to the raw
 //! engines: `ExactScheme::spt_into` / `Rpts::tree_from_with` per query,
-//! and `dijkstra_batch` over the full `sources × fault_sets` plan.
+//! and `dijkstra_sweep` over the full `sources × fault_sets` plan.
 
 use std::ops::ControlFlow;
 
 use proptest::prelude::*;
 use rsp_core::{ExactScheme, RandomGridAtw, Rpts};
-use rsp_graph::{dijkstra_batch, generators, BatchScratch, FaultSet, Graph, SearchScratch, Vertex};
+use rsp_graph::{
+    dijkstra_sweep, generators, FaultSet, Graph, SearchScratch, SweepScratch, SweepView, Vertex,
+};
 use rsp_oracle::{Oracle, OracleSnapshot, TreeView};
 
 fn gnm_params() -> impl Strategy<Value = (usize, usize, u64, u64)> {
@@ -57,6 +59,14 @@ fn engine_data(g: &Graph, s: &SearchScratch<u128>) -> ViewData {
     )
 }
 
+fn sweep_data(g: &Graph, t: &SweepView<'_, u128>) -> ViewData {
+    (
+        g.vertices().map(|v| t.hops(v)).collect(),
+        g.vertices().map(|v| t.parent(v)).collect(),
+        g.vertices().map(|v| t.cost(v).cloned()).collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -95,11 +105,11 @@ proptest! {
         }
     }
 
-    /// The full `sources × fault_sets` plan through `dijkstra_batch`
-    /// matches the oracle cell by cell — the acceptance criterion's
-    /// batch-engine pin.
+    /// The full `sources × fault_sets` plan through `dijkstra_sweep`
+    /// matches the oracle cell by cell — the sweep's pin against the
+    /// serving layer.
     #[test]
-    fn snapshot_query_equals_dijkstra_batch(
+    fn snapshot_query_equals_dijkstra_sweep(
         (n, m, gseed, wseed) in gnm_params(),
         fault_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..5),
         source_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..3),
@@ -114,10 +124,10 @@ proptest! {
         let srcs: Vec<Vertex> = source_picks.iter().map(|p| p.index(g.n())).collect();
 
         let mut scratch = SearchScratch::with_capacity(g.n());
-        let mut batch = BatchScratch::<u128>::new();
-        dijkstra_batch(&g, &srcs, &fs, scheme.directed_costs(), &mut batch, |si, fi, result| {
+        let mut sweep = SweepScratch::<u128>::new();
+        dijkstra_sweep(&g, &srcs, &fs, scheme.directed_costs(), &mut sweep, |si, fi, tree| {
             let got = view_data(&g, &snap.query(srcs[si], &fs[fi], &mut scratch));
-            assert_eq!(got, engine_data(&g, result), "s{si} f{fi}");
+            assert_eq!(got, sweep_data(&g, &tree), "s{si} f{fi}");
             ControlFlow::Continue(())
         });
     }

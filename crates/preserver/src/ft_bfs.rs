@@ -82,9 +82,8 @@ impl Preserver {
 ///
 /// Queries are grouped by source and issued through the batched
 /// [`Rpts::for_each_tree`] engine, so fault sets sharing a source also
-/// share the settled search prefix — resumed from mid-run checkpoints
-/// where the batch engine captured them (the overlay is a set union —
-/// query order cannot affect the result).
+/// share its fault-free tree, each repaired from it by the repair kernel
+/// (the overlay is a set union — query order cannot affect the result).
 pub fn overlay_paths<S: Rpts>(
     scheme: &S,
     queries: impl IntoIterator<Item = (Vertex, FaultSet)>,

@@ -7,9 +7,11 @@
 //! * [`arith`] — exact arithmetic ([`arith::BigInt`], path costs);
 //! * [`graph`] — CSR graphs, BFS, exact-weight Dijkstra, fault sets,
 //!   routing tables, generators, and the query engine: reusable
-//!   [`graph::SearchScratch`] state, batched `sources × fault_sets`
-//!   queries with shared search prefixes ([`graph::dijkstra_batch`]), and
-//!   worker-pool fan-out ([`graph::parallel_indexed`]);
+//!   [`graph::SearchScratch`] state, `sources × fault_sets` sweeps that
+//!   repair each source's fault-free tree per fault set
+//!   ([`graph::dijkstra_sweep`], over the [`graph::repair`] kernel that
+//!   also patches the oracle's delta commits), and worker-pool fan-out
+//!   ([`graph::parallel_indexed`]);
 //! * [`core`] — **the paper's contribution**: antisymmetric tiebreaking
 //!   weight functions (Theorems 20, 23, Corollary 22), the induced
 //!   consistent/stable/restorable schemes (Theorem 19), restoration by
