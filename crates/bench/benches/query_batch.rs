@@ -34,7 +34,9 @@ use std::ops::ControlFlow;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsp_core::RandomGridAtw;
-use rsp_graph::{dijkstra_sweep, generators, FaultSet, Graph, SearchScratch, SweepScratch, Vertex};
+use rsp_graph::{
+    dijkstra_sweep, generators, FaultSet, Graph, SearchScratch, SelectedTree, SweepScratch, Vertex,
+};
 
 /// `∅` plus `queries` single faults spread across the edge set: most
 /// detach small subtrees of any given source's tree.

@@ -26,7 +26,7 @@ use rsp_core::{ExactScheme, GeometricAtw, RandomGridAtw, Rpts};
 use rsp_graph::reference::{ref_dijkstra, RefGraph};
 use rsp_graph::{
     bfs, bfs_into, dijkstra, dijkstra_into, gen, generators, EdgeId, FaultSet, Graph,
-    SearchScratch, Vertex,
+    SearchScratch, SelectedTree, Vertex,
 };
 
 /// Single-fault queries spread across the edge set, all from source 0.

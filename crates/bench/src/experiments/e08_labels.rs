@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsp_core::RandomGridAtw;
-use rsp_graph::{bfs, FaultSet};
+use rsp_graph::{bfs, FaultSet, SelectedTree};
 use rsp_labeling::build_labeling;
 
 use crate::reporting::{f3, loglog_slope, Table};

@@ -6,7 +6,7 @@
 //! grids with `ℓ = Θ(n)` failure points, where naive pays `Θ(n·m)` and
 //! the candidate-sweep algorithm stays near-linear.
 
-use rsp_graph::{bfs, generators, FaultSet};
+use rsp_graph::{bfs, generators, FaultSet, SelectedTree};
 use rsp_replacement::{naive_single_pair, single_pair_replacement_paths};
 
 use crate::reporting::{f3, timed, Table};

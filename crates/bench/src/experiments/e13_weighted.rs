@@ -2,7 +2,7 @@
 //! weighted replacement paths, and the single-fault distance sensitivity
 //! oracle.
 
-use rsp_graph::{bfs, EdgeWeights, FaultSet};
+use rsp_graph::{bfs, EdgeWeights, FaultSet, SelectedTree};
 use rsp_replacement::{verify_weighted_restoration_lemma, weighted_single_pair, SingleFaultOracle};
 
 use crate::reporting::{f3, timed, Table};

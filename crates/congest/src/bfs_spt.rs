@@ -171,6 +171,7 @@ pub fn distributed_spt(
 mod tests {
     use super::*;
     use rsp_core::RandomGridAtw;
+    use rsp_graph::SelectedTree;
     use rsp_graph::{diameter, generators, FaultSet};
 
     fn check_matches_centralized(g: &Graph, seed: u64, source: Vertex) {

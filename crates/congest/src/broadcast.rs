@@ -12,7 +12,7 @@
 //!   established BFS tree followed by a broadcast of the total:
 //!   `O(D)` rounds each way.
 
-use rsp_graph::{bfs, FaultSet, Graph, Vertex};
+use rsp_graph::{bfs, FaultSet, Graph, SelectedTree, Vertex};
 
 use crate::sim::{MsgSize, Network, NodeCtx, Outbox, Program, RunStats};
 

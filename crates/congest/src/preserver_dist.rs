@@ -194,6 +194,7 @@ pub fn theorem8_round_bound(n: usize, diameter: usize, sigma: usize, f: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsp_graph::SelectedTree;
     use rsp_graph::{bfs, diameter, generators, FaultSet};
 
     /// Checks that an edge set is a 1-FT S × S preserver by brute force.

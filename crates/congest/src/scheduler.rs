@@ -201,6 +201,7 @@ pub fn scheduled_multi_spt(
 mod tests {
     use super::*;
     use rsp_core::RandomGridAtw;
+    use rsp_graph::SelectedTree;
     use rsp_graph::{diameter, generators, FaultSet};
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use rsp_graph::{bfs, connected_pair, FaultSet, Graph, Path, Vertex};
+use rsp_graph::{bfs, connected_pair, FaultSet, Graph, Path, SelectedTree, Vertex};
 
 /// Enumerates **all** shortest `s ⇝ t` paths in `g \ faults`, up to `cap`
 /// paths.

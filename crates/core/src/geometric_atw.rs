@@ -92,7 +92,7 @@ impl GeometricAtw {
 mod tests {
     use super::*;
     use crate::scheme::Rpts;
-    use rsp_graph::{bfs, generators, FaultSet};
+    use rsp_graph::{bfs, generators, FaultSet, SelectedTree};
 
     #[test]
     fn antisymmetric() {

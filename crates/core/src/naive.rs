@@ -9,7 +9,7 @@
 //! alternative avoids it. Experiment E1 quantifies how often that actually
 //! happens.
 
-use rsp_graph::{bfs, bfs_into, BfsTree, FaultSet, Graph, Vertex};
+use rsp_graph::{bfs, bfs_into, BfsTree, FaultSet, Graph, SelectedTree, Vertex};
 
 use crate::scheme::{Rpts, RptsScratch};
 

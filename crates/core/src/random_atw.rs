@@ -238,7 +238,7 @@ impl RandomGridAtw {
 mod tests {
     use super::*;
     use crate::scheme::Rpts;
-    use rsp_graph::{bfs, generators, FaultSet};
+    use rsp_graph::{bfs, generators, FaultSet, SelectedTree};
 
     #[test]
     fn antisymmetric_by_construction() {

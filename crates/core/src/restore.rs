@@ -10,7 +10,10 @@
 
 use std::ops::ControlFlow;
 
-use rsp_graph::{bfs_into, connected_pair, parallel_indexed, BfsTree, FaultSet, Path, Vertex};
+use rsp_graph::{
+    bfs_into, connected_pair, parallel_indexed, BfsTree, FaultSet, Graph, Path, SelectedTree,
+    Vertex,
+};
 
 use crate::scheme::{Rpts, RptsScratch};
 
@@ -83,36 +86,57 @@ pub fn restore_by_concatenation_with<S: Rpts>(
 
     // One batched sweep: all subset trees from `s` arrive first (repaired
     // from one fault-free tree when there are several subsets — see
-    // `Rpts::for_each_tree`), then the trees from `t`. As each `t` tree lands, its subset is complete, so
-    // the midpoint scan runs immediately and a success breaks the sweep
-    // before the remaining `t` trees are computed.
+    // `Rpts::for_each_tree`) and are kept, then the trees from `t`, read
+    // where the search left them. As each `t` tree lands, its subset is
+    // complete, so the midpoint scan runs immediately and a success breaks
+    // the sweep before the remaining `t` trees are computed.
     let mut trees_s: Vec<Option<BfsTree>> = (0..subsets.len()).map(|_| None).collect();
     let mut restored: Option<Path> = None;
     scheme.for_each_tree(&[s, t], &subsets, scratch, &mut |si, fi, tree| {
         if si == 0 {
-            trees_s[fi] = Some(tree);
+            trees_s[fi] = Some(tree.to_bfs_tree());
             return ControlFlow::Continue(());
         }
         let tree_s = trees_s[fi].as_ref().expect("s trees precede t trees");
-        let tree_t = &tree;
-        for x in g.vertices() {
-            let (Some(ps), Some(pt)) = (tree_s.path_to(x), tree_t.path_to(x)) else {
-                continue;
-            };
-            if ps.hops() + pt.hops() != target_dist as usize {
-                continue;
-            }
-            if !ps.avoids(g, faults) || !pt.avoids(g, faults) {
-                continue;
-            }
-            let joined = ps.join_at(&pt).expect("both paths end at x");
-            debug_assert!(joined.is_valid_in(g));
-            restored = Some(joined);
-            return ControlFlow::Break(());
+        restored = join_at_midpoint(g, tree_s, tree, target_dist, faults);
+        if restored.is_some() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
-        ControlFlow::Continue(())
     });
     restored
+}
+
+/// The first midpoint `x` where `π_s(x) ∘ reverse(π_t(x))` avoids
+/// `faults` and has exactly `target_dist` hops, joined into one path.
+fn join_at_midpoint(
+    g: &Graph,
+    tree_s: &dyn SelectedTree,
+    tree_t: &dyn SelectedTree,
+    target_dist: u32,
+    faults: &FaultSet,
+) -> Option<Path> {
+    for x in g.vertices() {
+        // A tree's `dist` is its path's hop count: check the length before
+        // walking either path.
+        let (Some(ds), Some(dt)) = (tree_s.dist(x), tree_t.dist(x)) else {
+            continue;
+        };
+        if ds + dt != target_dist {
+            continue;
+        }
+        let (Some(ps), Some(pt)) = (tree_s.path_to(x), tree_t.path_to(x)) else {
+            continue;
+        };
+        if !ps.avoids(g, faults) || !pt.avoids(g, faults) {
+            continue;
+        }
+        let joined = ps.join_at(&pt).expect("both paths end at x");
+        debug_assert!(joined.is_valid_in(g));
+        return Some(joined);
+    }
+    None
 }
 
 /// The single-fault fast path: restoration using only the *non-faulty*
@@ -148,26 +172,17 @@ pub fn restore_single_fault_with<S: Rpts>(
         bfs_into(g, s, &faults, truth);
         truth.dist(t)?
     };
-    let empty = [FaultSet::empty()];
-    let mut pair: [Option<BfsTree>; 2] = [None, None];
-    scheme.for_each_tree(&[s, t], &empty, scratch, &mut |si, _, tree| {
-        pair[si] = Some(tree);
+    // The `s` tree is kept; the `t` tree is read where the search left it.
+    let mut tree_s: Option<BfsTree> = None;
+    let mut restored: Option<Path> = None;
+    scheme.for_each_tree(&[s, t], &[FaultSet::empty()], scratch, &mut |_, _, tree| {
+        match &tree_s {
+            None => tree_s = Some(tree.to_bfs_tree()),
+            Some(tree_s) => restored = join_at_midpoint(g, tree_s, tree, target_dist, &faults),
+        }
         ControlFlow::Continue(())
     });
-    let [Some(tree_s), Some(tree_t)] = pair else { unreachable!("both roots visited") };
-    for x in g.vertices() {
-        let (Some(ps), Some(pt)) = (tree_s.path_to(x), tree_t.path_to(x)) else {
-            continue;
-        };
-        if ps.hops() + pt.hops() != target_dist as usize {
-            continue;
-        }
-        if !ps.avoids(g, &faults) || !pt.avoids(g, &faults) {
-            continue;
-        }
-        return ps.join_at(&pt);
-    }
-    None
+    restored
 }
 
 /// Aggregate outcome of restoration attempts over many instances

@@ -7,8 +7,8 @@ use std::ops::ControlFlow;
 
 use rsp_arith::PathCost;
 use rsp_graph::{
-    BfsTree, DirectedCosts, EdgeId, FaultSet, Graph, Path, SearchScratch, SweepScratch, Vertex,
-    WeightedSpt,
+    BfsTree, DirectedCosts, EdgeId, FaultSet, Graph, Path, SearchScratch, SelectedTree,
+    SweepScratch, Vertex,
 };
 
 /// The scratch payload of the exact (weight-induced) schemes: one
@@ -126,7 +126,8 @@ pub trait Rpts {
         self.tree_from(s, faults)
     }
 
-    /// [`Rpts::dist`], reusing `scratch`'s buffers across calls.
+    /// [`Rpts::dist`], reusing `scratch`'s buffers across calls: the
+    /// distance is read from the tree [`Rpts::for_each_tree`] lends.
     fn dist_with(
         &self,
         s: Vertex,
@@ -134,10 +135,16 @@ pub trait Rpts {
         faults: &FaultSet,
         scratch: &mut RptsScratch,
     ) -> Option<u32> {
-        self.tree_from_with(s, faults, scratch).dist(t)
+        let mut dist = None;
+        self.for_each_tree(&[s], std::slice::from_ref(faults), scratch, &mut |_, _, tree| {
+            dist = tree.dist(t);
+            ControlFlow::Break(())
+        });
+        dist
     }
 
-    /// [`Rpts::path`], reusing `scratch`'s buffers across calls.
+    /// [`Rpts::path`], reusing `scratch`'s buffers across calls: the path
+    /// is read from the tree [`Rpts::for_each_tree`] lends.
     fn path_with(
         &self,
         s: Vertex,
@@ -145,7 +152,12 @@ pub trait Rpts {
         faults: &FaultSet,
         scratch: &mut RptsScratch,
     ) -> Option<Path> {
-        self.tree_from_with(s, faults, scratch).path_to(t)
+        let mut path = None;
+        self.for_each_tree(&[s], std::slice::from_ref(faults), scratch, &mut |_, _, tree| {
+            path = tree.path_to(t);
+            ControlFlow::Break(())
+        });
+        path
     }
 
     /// Computes the selected tree for every query in `sources ×
@@ -155,26 +167,31 @@ pub trait Rpts {
     /// queries are never computed (how the verifiers and restoration
     /// searches exit early).
     ///
+    /// The visitor borrows each tree where the search left it, as a
+    /// [`SelectedTree`] valid for the duration of the call; a caller that
+    /// keeps a tree copies it with [`SelectedTree::to_bfs_tree`].
+    ///
     /// The batched entry point behind the verifiers, restoration sweeps,
     /// and preserver builds. The default loops over
-    /// [`Rpts::tree_from_with`]; the exact schemes override it with
-    /// [`rsp_graph::dijkstra_sweep`]: one fault-free tree per source, each
-    /// fault set then applied edge by edge by the repair kernel, with a
-    /// search wherever a tie leaves the tree unforced. A sweep over a
-    /// single fault set has no base tree to share, so it runs the
-    /// per-query loop. Either way the trees visited are identical to
-    /// per-query [`Rpts::tree_from`] calls.
+    /// [`Rpts::tree_from_with`] and lends each owned tree; the exact
+    /// schemes override it with [`rsp_graph::dijkstra_sweep`]: one
+    /// fault-free tree per source, each fault set then applied edge by
+    /// edge by the repair kernel, with a search wherever a tie leaves the
+    /// tree unforced, and each query lent as the sweep's view. A sweep
+    /// over a single fault set has no base tree to share, so it searches
+    /// per query and lends the search scratch. Either way the trees
+    /// visited are identical to per-query [`Rpts::tree_from`] calls.
     fn for_each_tree(
         &self,
         sources: &[Vertex],
         fault_sets: &[FaultSet],
         scratch: &mut RptsScratch,
-        visitor: &mut dyn FnMut(usize, usize, BfsTree) -> ControlFlow<()>,
+        visitor: &mut dyn FnMut(usize, usize, &dyn SelectedTree) -> ControlFlow<()>,
     ) {
         for (si, &s) in sources.iter().enumerate() {
             for (fi, faults) in fault_sets.iter().enumerate() {
                 let tree = self.tree_from_with(s, faults, scratch);
-                if visitor(si, fi, tree).is_break() {
+                if visitor(si, fi, &tree).is_break() {
                     return;
                 }
             }
@@ -258,18 +275,27 @@ impl<C: PathCost + 'static> ExactScheme<C> {
         (0..self.graph.m()).all(|e| self.fwd[e].plus(&self.bwd[e]) == two_units)
     }
 
-    /// The full weighted shortest-path tree from `s` in `G* \ F`.
+    /// The full weighted shortest-path tree from `s` in `G* \ F`, as the
+    /// finished search that found it.
     ///
     /// For a valid tiebreaking weight function
-    /// [`WeightedSpt::ties_detected`] is `false` and the tree's paths are
+    /// [`SearchScratch::ties_detected`] is `false` and the tree's paths are
     /// the unique minimum-cost — hence canonical — shortest paths.
     ///
     /// Allocates a fresh scratch per call; loops should use
     /// [`ExactScheme::spt_into`].
-    pub fn spt(&self, s: Vertex, faults: &FaultSet) -> WeightedSpt<C> {
+    pub fn spt(&self, s: Vertex, faults: &FaultSet) -> SearchScratch<C> {
         let mut scratch = SearchScratch::with_capacity(self.graph.n());
         self.spt_into(s, faults, &mut scratch);
-        scratch.to_weighted_spt()
+        scratch
+    }
+
+    /// A fresh scratch payload; its sweep state grows on first use.
+    fn payload(&self) -> ExactPayload<C> {
+        ExactPayload {
+            single: SearchScratch::with_capacity(self.graph.n()),
+            sweep: SweepScratch::new(),
+        }
     }
 
     /// Runs the SPT query from `s` in `G* \ F` into a reusable scratch.
@@ -365,16 +391,11 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
     }
 
     fn tree_from(&self, s: Vertex, faults: &FaultSet) -> BfsTree {
-        let mut scratch = SearchScratch::with_capacity(self.graph.n());
-        self.spt_into(s, faults, &mut scratch);
-        scratch.to_bfs_tree()
+        self.spt(s, faults).to_bfs_tree()
     }
 
     fn new_scratch(&self) -> RptsScratch {
-        RptsScratch::from_value(ExactPayload {
-            single: SearchScratch::<C>::with_capacity(self.graph.n()),
-            sweep: SweepScratch::<C>::new(),
-        })
+        RptsScratch::from_value(self.payload())
     }
 
     fn tree_from_with(&self, s: Vertex, faults: &FaultSet, scratch: &mut RptsScratch) -> BfsTree {
@@ -387,64 +408,36 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
         }
     }
 
-    fn dist_with(
-        &self,
-        s: Vertex,
-        t: Vertex,
-        faults: &FaultSet,
-        scratch: &mut RptsScratch,
-    ) -> Option<u32> {
-        match scratch.downcast_mut::<ExactPayload<C>>() {
-            Some(p) => {
-                self.spt_into(s, faults, &mut p.single);
-                p.single.hops(t)
-            }
-            None => self.dist(s, t, faults),
-        }
-    }
-
-    fn path_with(
-        &self,
-        s: Vertex,
-        t: Vertex,
-        faults: &FaultSet,
-        scratch: &mut RptsScratch,
-    ) -> Option<Path> {
-        match scratch.downcast_mut::<ExactPayload<C>>() {
-            Some(p) => {
-                self.spt_into(s, faults, &mut p.single);
-                p.single.path_to(t)
-            }
-            None => self.path(s, t, faults),
-        }
-    }
-
     fn for_each_tree(
         &self,
         sources: &[Vertex],
         fault_sets: &[FaultSet],
         scratch: &mut RptsScratch,
-        visitor: &mut dyn FnMut(usize, usize, BfsTree) -> ControlFlow<()>,
+        visitor: &mut dyn FnMut(usize, usize, &dyn SelectedTree) -> ControlFlow<()>,
     ) {
-        match scratch.downcast_mut::<ExactPayload<C>>() {
-            // One fault set leaves nothing to share: the sweep would pay
-            // for a fault-free base run before its only query.
-            Some(p) if fault_sets.len() > 1 => rsp_graph::dijkstra_sweep(
+        let mut own = None;
+        let p = match scratch.downcast_mut::<ExactPayload<C>>() {
+            Some(p) => p,
+            None => own.insert(self.payload()),
+        };
+        if fault_sets.len() > 1 {
+            rsp_graph::dijkstra_sweep(
                 &self.graph,
                 sources,
                 fault_sets,
-                DirectedCosts::new(&self.fwd, &self.bwd),
+                self.directed_costs(),
                 &mut p.sweep,
-                |si, fi, tree| visitor(si, fi, tree.to_bfs_tree()),
-            ),
-            _ => {
-                for (si, &s) in sources.iter().enumerate() {
-                    for (fi, faults) in fault_sets.iter().enumerate() {
-                        let tree = self.tree_from_with(s, faults, scratch);
-                        if visitor(si, fi, tree).is_break() {
-                            return;
-                        }
-                    }
+                |si, fi, tree| visitor(si, fi, &tree),
+            );
+            return;
+        }
+        // One fault set leaves nothing to share: the sweep would pay for a
+        // fault-free base run before its only query.
+        for (si, &s) in sources.iter().enumerate() {
+            for (fi, faults) in fault_sets.iter().enumerate() {
+                self.spt_into(s, faults, &mut p.single);
+                if visitor(si, fi, &p.single).is_break() {
+                    return;
                 }
             }
         }

@@ -14,7 +14,8 @@ use std::ops::ControlFlow;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsp_graph::{
-    bfs_into, connected_pair, parallel_indexed, BfsTree, FaultSet, Path, SearchScratch, Vertex,
+    bfs_into, connected_pair, parallel_indexed, BfsTree, FaultSet, Path, SearchScratch,
+    SelectedTree, Vertex,
 };
 
 use crate::restore::restore_by_concatenation_with;
@@ -129,7 +130,7 @@ fn all_source_trees<S: Rpts>(
     let sources: Vec<Vertex> = g.vertices().collect();
     let mut trees: Vec<Option<BfsTree>> = (0..g.n()).map(|_| None).collect();
     scheme.for_each_tree(&sources, std::slice::from_ref(faults), scratch, &mut |si, _, tree| {
-        trees[si] = Some(tree);
+        trees[si] = Some(tree.to_bfs_tree());
         ControlFlow::Continue(())
     });
     trees.into_iter().map(|t| t.expect("one tree per source")).collect()

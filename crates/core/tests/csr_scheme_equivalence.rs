@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
 use rsp_graph::reference::{ref_dijkstra, RefGraph};
-use rsp_graph::{gen, generators, EdgeCostSource, FaultSet, Graph, SearchScratch, Vertex};
+use rsp_graph::{
+    gen, generators, EdgeCostSource, FaultSet, Graph, SearchScratch, SelectedTree, Vertex,
+};
 
 /// One graph per Internet-shaped family, plus the `G(n, m)` control.
 fn family_graph() -> impl Strategy<Value = Graph> {

@@ -6,15 +6,16 @@
 
 use crate::fault::FaultSet;
 use crate::graph::{EdgeId, Graph, Vertex};
-use crate::path::Path;
 use crate::scratch::{bfs_into, SearchScratch};
+use crate::tree::SelectedTree;
 
-/// The result of a BFS from a single source: a shortest-path (BFS) tree.
+/// The result of a BFS from a single source: a shortest-path (BFS) tree,
+/// owned. Read it through [`SelectedTree`].
 ///
 /// # Examples
 ///
 /// ```
-/// use rsp_graph::{bfs, generators, FaultSet};
+/// use rsp_graph::{bfs, generators, FaultSet, SelectedTree};
 ///
 /// let g = generators::path_graph(4); // 0 - 1 - 2 - 3
 /// let t = bfs(&g, 0, &FaultSet::empty());
@@ -53,49 +54,29 @@ impl BfsTree {
         BfsTree { source, dist, parent }
     }
 
-    /// The BFS source vertex.
-    pub fn source(&self) -> Vertex {
-        self.source
-    }
-
-    /// Unweighted distance from the source to `v`, or `None` if unreachable.
-    pub fn dist(&self, v: Vertex) -> Option<u32> {
-        self.dist[v]
-    }
-
-    /// Parent of `v` in the BFS tree as `(vertex, edge id)`, or `None` for
-    /// the source and unreachable vertices.
-    pub fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
-        self.parent[v]
-    }
-
-    /// The source-to-`v` path in the tree, or `None` if `v` is unreachable.
-    pub fn path_to(&self, v: Vertex) -> Option<Path> {
-        self.dist[v]?;
-        let mut verts = vec![v];
-        let mut cur = v;
-        while let Some((p, _)) = self.parent[cur] {
-            verts.push(p);
-            cur = p;
-        }
-        verts.reverse();
-        debug_assert_eq!(verts[0], self.source);
-        Some(Path::new(verts))
-    }
-
-    /// All tree edge ids (one per reachable non-source vertex).
-    pub fn tree_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.parent.iter().filter_map(|p| p.map(|(_, e)| e))
-    }
-
-    /// Number of reachable vertices (including the source).
-    pub fn reachable_count(&self) -> usize {
-        self.dist.iter().filter(|d| d.is_some()).count()
-    }
-
     /// The eccentricity of the source: max distance to a reachable vertex.
     pub fn eccentricity(&self) -> u32 {
         self.dist.iter().filter_map(|d| *d).max().unwrap_or(0)
+    }
+}
+
+impl SelectedTree for BfsTree {
+    fn source(&self) -> Vertex {
+        self.source
+    }
+
+    fn n(&self) -> usize {
+        self.dist.len()
+    }
+
+    #[inline]
+    fn dist(&self, v: Vertex) -> Option<u32> {
+        self.dist[v]
+    }
+
+    #[inline]
+    fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
+        self.parent[v]
     }
 }
 
@@ -197,5 +178,18 @@ mod tests {
         let t = bfs(&g, 1, &FaultSet::empty());
         assert!(t.parent(1).is_none());
         assert_eq!(t.parent(0).map(|(p, _)| p), Some(1));
+    }
+
+    #[test]
+    fn cyclic_parents_answer_none_and_list_finitely() {
+        // `from_parts` trusts its caller: here 2 and 3 are each other's
+        // parent, a chain that never reaches the source.
+        let dist = vec![Some(0), Some(1), Some(2), Some(3)];
+        let parent = vec![None, Some((0, 0)), Some((3, 2)), Some((2, 2))];
+        let t = BfsTree::from_parts(0, dist, parent);
+        assert_eq!(t.path_to(1).unwrap().vertices(), &[0, 1]);
+        assert!(t.path_to(2).is_none());
+        assert!(t.path_to(3).is_none());
+        assert_eq!(t.tree_edges().count(), 3);
     }
 }

@@ -13,16 +13,18 @@ use rsp_arith::PathCost;
 use crate::fault::FaultSet;
 use crate::graph::{EdgeId, Graph, Vertex};
 use crate::scratch::{dijkstra_into, SearchScratch};
-use crate::spt::WeightedSpt;
 
 /// Runs Dijkstra from `source` in `g \ faults` with per-direction edge costs
 /// supplied by `edge_cost(edge id, from, to)`.
 ///
 /// Costs must be non-negative (guaranteed by the tiebreaking constructions,
 /// whose perturbations satisfy `|r| < 1/(2n)` after scaling). The returned
-/// tree records, per vertex: the exact minimum cost, the hop count of the
-/// minimum-cost path, and the parent pointer; it also records whether any
-/// equal-cost tie was observed (see [`WeightedSpt::ties_detected`]).
+/// finished scratch records, per vertex: the exact minimum cost, the hop
+/// count of the minimum-cost path, and the parent pointer; it also records
+/// whether any equal-cost tie was observed (see
+/// [`SearchScratch::ties_detected`]). When the costs come from an
+/// antisymmetric tiebreaking weight function, shortest paths in `G* \ F`
+/// are unique and the tree *is* the paper's scheme `π(source, · | F)`.
 ///
 /// The asymmetry of the paper's weight functions is expressed through the
 /// `(from, to)` arguments: `edge_cost(e, u, v)` and `edge_cost(e, v, u)`
@@ -30,9 +32,9 @@ use crate::spt::WeightedSpt;
 ///
 /// This is the allocate-once convenience wrapper around the scratch-based
 /// engine ([`crate::dijkstra_into`]): it builds one fresh
-/// [`crate::SearchScratch`], runs the lazy-heap search, and materializes
-/// an owned tree. Loops issuing many queries should hold a
-/// scratch and call [`crate::dijkstra_into`] directly.
+/// [`SearchScratch`], runs the lazy-heap search into it and returns it.
+/// Loops issuing many queries should hold one scratch and call
+/// [`crate::dijkstra_into`] directly.
 ///
 /// # Panics
 ///
@@ -49,14 +51,19 @@ use crate::spt::WeightedSpt;
 /// assert_eq!(spt.cost(3), Some(&3));
 /// assert!(spt.ties_detected()); // two equal ways around the cycle
 /// ```
-pub fn dijkstra<C, F>(g: &Graph, source: Vertex, faults: &FaultSet, edge_cost: F) -> WeightedSpt<C>
+pub fn dijkstra<C, F>(
+    g: &Graph,
+    source: Vertex,
+    faults: &FaultSet,
+    edge_cost: F,
+) -> SearchScratch<C>
 where
     C: PathCost,
     F: FnMut(EdgeId, Vertex, Vertex) -> C,
 {
     let mut scratch = SearchScratch::with_capacity(g.n());
     dijkstra_into(g, source, faults, edge_cost, &mut scratch);
-    scratch.to_weighted_spt()
+    scratch
 }
 
 #[cfg(test)]
@@ -64,6 +71,7 @@ mod tests {
     use super::*;
     use crate::bfs::bfs;
     use crate::generators;
+    use crate::tree::SelectedTree;
 
     #[test]
     fn unit_costs_match_bfs() {

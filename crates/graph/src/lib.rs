@@ -19,7 +19,7 @@
 //!   distances, the ground truth all experiments compare against);
 //! * [`dijkstra`] — an *exact-cost* Dijkstra, generic over
 //!   [`rsp_arith::PathCost`], used with the scaled integer weights of the
-//!   tiebreaking schemes;
+//!   tiebreaking schemes; it returns its finished [`SearchScratch`];
 //! * [`SearchScratch`] with [`bfs_into`] / [`dijkstra_into`] — the
 //!   reusable search-state engine behind both traversals: generation
 //!   stamping, a dirty list, and one flat lazy heap of inline `(cost,
@@ -41,8 +41,11 @@
 //!   executor for jobs that *discover* further jobs (the FT-BFS fault-set
 //!   enumeration in `rsp_preserver`), with a sharded concurrent visited
 //!   set for frontier dedup;
-//! * [`WeightedSpt`] / [`BfsTree`] — shortest-path trees with path
-//!   extraction;
+//! * [`SelectedTree`] — the one read surface of a selected tree (the
+//!   bounded path walk, the tree edges, the reachable count, the one
+//!   owned copy), implemented by the owned [`BfsTree`], a finished
+//!   [`SearchScratch`] and a sweep's [`SweepView`], so a tree is read
+//!   where the search left it;
 //! * [`SubtreeScratch`] / [`tree_edge_child`] — cut/subtree helpers
 //!   over parent-pointer trees: which endpoint of a failed edge is the
 //!   child, and the detached subtree below it in work proportional to
@@ -73,6 +76,7 @@
 //! | [`FaultSet`] | the fault set `F`, `\|F\| ≤ f`; `G \ F` everywhere |
 //! | [`bfs`], [`bfs_into`] | ground-truth `dist_{G\F}`, the quantity every theorem bounds |
 //! | [`dijkstra`], [`dijkstra_into`] | unique shortest paths in the perturbed `G* \ F` (Definition 18) |
+//! | [`SelectedTree`] | one selected tree `π(s, · \| F)` of a tree-structured scheme (Definition 15) |
 //! | [`dijkstra_sweep`], [`parallel_indexed`] | experiment scaling: the `sources × fault_sets` query loops behind Sections 3–4 |
 //! | [`repair`] | the single-fault change Theorem 20's unique paths allow: only the subtree below a failed tree edge moves |
 //! | [`NextHopTable`] | Section 1's MPLS routing-table deployment |
@@ -81,7 +85,7 @@
 //! # Examples
 //!
 //! ```
-//! use rsp_graph::{generators, bfs, FaultSet};
+//! use rsp_graph::{generators, bfs, FaultSet, SelectedTree};
 //!
 //! let g = generators::cycle(5);
 //! let tree = bfs(&g, 0, &FaultSet::empty());
@@ -113,7 +117,6 @@ pub mod reference;
 pub mod repair;
 mod routing;
 mod scratch;
-mod spt;
 mod sweep;
 mod tree;
 mod weights;
@@ -127,10 +130,9 @@ pub use fault::FaultSet;
 pub use graph::{EdgeId, Graph, Vertex, MAX_EDGES, MAX_VERTICES};
 pub use io::{from_edge_list_str, to_edge_list_string, ParseGraphError};
 pub use path::Path;
-pub use pool::{default_workers, parallel_frontier, parallel_indexed, FrontierStats, ShardedSet};
+pub use pool::{parallel_frontier, parallel_indexed, FrontierStats, ShardedSet};
 pub use routing::NextHopTable;
 pub use scratch::{bfs_into, dijkstra_into, DirectedCosts, EdgeCostSource, SearchScratch};
-pub use spt::WeightedSpt;
 pub use sweep::{dijkstra_sweep, SweepScratch, SweepStats, SweepView};
-pub use tree::{tree_edge_child, SubtreeScratch};
+pub use tree::{tree_edge_child, SelectedTree, SubtreeScratch};
 pub use weights::{weighted_sssp, EdgeWeights};

@@ -42,14 +42,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A sensible default worker count: the machine's available parallelism.
-///
-/// Falls back to 1 when the parallelism cannot be determined (e.g. in
-/// restricted sandboxes).
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// Runs `run(state, i)` for every `i in 0..count` across up to `workers`
 /// scoped threads and returns the results in index order.
 ///
@@ -428,11 +420,6 @@ mod tests {
         assert!(none.is_empty());
         let one = parallel_indexed(1, 8, |_| (), |(), i| i + 7);
         assert_eq!(one, vec![7]);
-    }
-
-    #[test]
-    fn default_workers_is_positive() {
-        assert!(default_workers() >= 1);
     }
 
     #[test]

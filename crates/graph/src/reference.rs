@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use rsp_graph::reference::{ref_dijkstra, RefGraph};
-//! use rsp_graph::{dijkstra_into, generators, FaultSet, SearchScratch};
+//! use rsp_graph::{dijkstra_into, generators, FaultSet, SearchScratch, SelectedTree};
 //!
 //! let g = generators::grid(3, 3);
 //! let r = RefGraph::from_graph(&g);

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use rsp_graph::repair::RepairScratch;
-//! use rsp_graph::{dijkstra_into, generators, FaultSet, SearchScratch};
+//! use rsp_graph::{dijkstra_into, generators, FaultSet, SearchScratch, SelectedTree};
 //!
 //! let g = generators::grid(4, 4);
 //! let cost = |e: usize, u: usize, v: usize| 1_000u64 + 7 * e as u64 + u64::from(u < v);
@@ -60,7 +60,7 @@ use rsp_arith::PathCost;
 use crate::fault::FaultSet;
 use crate::graph::{EdgeId, Graph, Vertex};
 use crate::scratch::{EdgeCostSource, SearchScratch};
-use crate::tree::{tree_edge_child, SubtreeScratch};
+use crate::tree::{tree_edge_child, SelectedTree, SubtreeScratch};
 
 /// Cell sentinel: "no parent edge" (the root, unreachable vertices) and
 /// "unreachable" (hop count). Graph sizes stay below `u32::MAX`, so it

@@ -20,7 +20,7 @@ use crate::path::Path;
 /// # Examples
 ///
 /// ```
-/// use rsp_graph::{generators, bfs, FaultSet, NextHopTable};
+/// use rsp_graph::{generators, bfs, FaultSet, NextHopTable, SelectedTree};
 ///
 /// let g = generators::path_graph(4);
 /// let paths = g.vertices().flat_map(|s| {
@@ -128,7 +128,7 @@ mod tests {
     use super::*;
     use crate::bfs::bfs;
     use crate::generators;
-    use crate::FaultSet;
+    use crate::{FaultSet, SelectedTree};
 
     #[test]
     fn route_follows_hops() {

@@ -9,8 +9,8 @@
 //!   the query that last wrote it, so "resetting" the scratch between
 //!   queries is a single counter bump, not an `O(n)` clear;
 //! * **a dirty list** — the vertices a query actually touched, letting
-//!   result extraction ([`SearchScratch::tree_edges`],
-//!   [`SearchScratch::to_bfs_tree`]) skip the unreached part of the graph;
+//!   result extraction ([`SelectedTree::tree_edges`],
+//!   [`SelectedTree::reachable_count`]) skip the unreached part of the graph;
 //! * **one flat lazy heap** for every cost type — `std`'s [`BinaryHeap`]
 //!   of inline `(cost, vertex)` entries: no per-vertex heap-position
 //!   bookkeeping, no indirection on comparisons, candidates returned by
@@ -21,9 +21,9 @@
 //!
 //! The entry points are [`bfs_into`] and [`dijkstra_into`]; the classic
 //! [`crate::bfs`] / [`crate::dijkstra`] are thin wrappers that allocate one
-//! scratch, run the `_into` variant, and materialize an owned tree. Hot
-//! loops hold one scratch per concurrent tree and read results straight
-//! from it.
+//! scratch and run the `_into` variant (`bfs` then copies an owned tree
+//! out, `dijkstra` returns the scratch itself). Hot loops hold one scratch
+//! per concurrent tree and read results straight from it.
 //!
 //! # Examples
 //!
@@ -44,11 +44,9 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use rsp_arith::PathCost;
 
-use crate::bfs::BfsTree;
 use crate::fault::FaultSet;
 use crate::graph::{EdgeId, Graph, Vertex};
-use crate::path::Path;
-use crate::spt::WeightedSpt;
+use crate::tree::SelectedTree;
 
 /// Supplies directed edge costs to [`dijkstra_into`] as `base + w(e, from
 /// → to)`, returned by value.
@@ -116,16 +114,17 @@ impl<C: PathCost> EdgeCostSource<C> for DirectedCosts<'_, C> {
 ///
 /// One scratch holds the complete result of its most recent query — costs,
 /// hop counts, parent pointers, tie flag — readable through the accessor
-/// methods without materializing an owned tree. Reusing the scratch across
-/// queries skips all `O(n)` allocation and clearing: only the vertices the
-/// previous query touched are ever rewritten.
+/// methods and [`SelectedTree`] without materializing an owned tree.
+/// Reusing the scratch across queries skips all `O(n)` allocation and
+/// clearing: only the vertices the previous query touched are ever
+/// rewritten.
 ///
 /// The cost type parameter defaults to `u32` for unweighted (BFS-only) use.
 ///
 /// # Examples
 ///
 /// ```
-/// use rsp_graph::{bfs_into, generators, FaultSet, SearchScratch};
+/// use rsp_graph::{bfs_into, generators, FaultSet, SearchScratch, SelectedTree};
 ///
 /// let g = generators::cycle(6);
 /// let mut scratch = SearchScratch::<u32>::new();
@@ -226,11 +225,6 @@ impl<C: PathCost> SearchScratch<C> {
         self.queue.clear();
     }
 
-    /// The most recent query's source vertex.
-    pub fn source(&self) -> Vertex {
-        self.source
-    }
-
     /// `true` iff the most recent query reached `v`.
     #[inline]
     pub fn reached(&self, v: Vertex) -> bool {
@@ -260,17 +254,35 @@ impl<C: PathCost> SearchScratch<C> {
         }
     }
 
-    /// Unweighted distance alias for [`SearchScratch::hops`] (the natural
-    /// name after a [`bfs_into`] query).
+    /// `true` iff the most recent weighted query saw two equal-cost ways to
+    /// reach some vertex (the runtime witness that a tiebreaking weight
+    /// function failed to be tie-free).
+    pub fn ties_detected(&self) -> bool {
+        self.ties
+    }
+}
+
+/// A finished query is its selected tree; the edge listing and the count
+/// walk the dirty list instead of `0..n`. [`SelectedTree::dist`] is the
+/// hop count, the unweighted distance after a [`bfs_into`] query.
+impl<C: PathCost> SelectedTree for SearchScratch<C> {
     #[inline]
-    pub fn dist(&self, v: Vertex) -> Option<u32> {
+    fn source(&self) -> Vertex {
+        self.source
+    }
+
+    #[inline]
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn dist(&self, v: Vertex) -> Option<u32> {
         self.hops(v)
     }
 
-    /// Parent of `v` in the selected tree as `(vertex, edge id)`, or `None`
-    /// for the source and unreachable vertices.
     #[inline]
-    pub fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
+    fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
         if v != self.source && self.reached(v) {
             let (p, e) = self.parent[v];
             Some((p as usize, e as usize))
@@ -279,85 +291,18 @@ impl<C: PathCost> SearchScratch<C> {
         }
     }
 
-    /// `true` iff the most recent weighted query saw two equal-cost ways to
-    /// reach some vertex (the runtime witness that a tiebreaking weight
-    /// function failed to be tie-free).
-    pub fn ties_detected(&self) -> bool {
-        self.ties
-    }
-
-    /// Number of vertices the most recent query reached (incl. the source).
-    pub fn reachable_count(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// The selected source-to-`v` path, or `None` if unreachable.
-    pub fn path_to(&self, v: Vertex) -> Option<Path> {
-        if !self.reached(v) {
-            return None;
-        }
-        let mut verts = vec![v];
-        let mut cur = v;
-        while cur != self.source {
-            let (p, _) = self.parent[cur];
-            verts.push(p as usize);
-            cur = p as usize;
-        }
-        verts.reverse();
-        Some(Path::new(verts))
-    }
-
-    /// Tree edge ids of the most recent query (one per reached non-source
-    /// vertex), in reach order. Iterates the dirty list, not all of `0..n`.
-    pub fn tree_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+    fn tree_edges(&self) -> Box<dyn Iterator<Item = EdgeId> + '_> {
         let source = self.source as u32;
-        self.touched
-            .iter()
-            .filter(move |&&v| v != source)
-            .map(|&v| self.parent[v as usize].1 as usize)
+        Box::new(
+            self.touched
+                .iter()
+                .filter(move |&&v| v != source)
+                .map(|&v| self.parent[v as usize].1 as usize),
+        )
     }
 
-    /// Materializes the most recent query as an owned [`BfsTree`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no query has been run into this scratch.
-    pub fn to_bfs_tree(&self) -> BfsTree {
-        assert!(self.epoch > 0, "no search has been run into this scratch");
-        let mut dist = vec![None; self.n];
-        let mut parent = vec![None; self.n];
-        for &v in &self.touched {
-            let v = v as usize;
-            dist[v] = Some(self.hops[v]);
-            if v != self.source {
-                let (p, e) = self.parent[v];
-                parent[v] = Some((p as usize, e as usize));
-            }
-        }
-        BfsTree::from_parts(self.source, dist, parent)
-    }
-
-    /// Materializes the most recent weighted query as an owned
-    /// [`WeightedSpt`], cloning each reached vertex's cost once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the most recent query was not a [`dijkstra_into`] run.
-    pub fn to_weighted_spt(&self) -> WeightedSpt<C> {
-        assert!(self.weighted, "to_weighted_spt needs a dijkstra_into query");
-        let mut cost = vec![None; self.n];
-        let mut parent = vec![None; self.n];
-        let mut hops = vec![0u32; self.n];
-        for &v in &self.touched {
-            let v = v as usize;
-            cost[v] = Some(self.key[v].clone());
-            hops[v] = self.hops[v];
-            if v != self.source {
-                let (p, e) = self.parent[v];
-                parent[v] = Some((p as usize, e as usize));
-            }
-        }
-        WeightedSpt::new(self.source, parent, cost, hops, self.ties)
+    fn reachable_count(&self) -> usize {
+        self.touched.len()
     }
 }
 
@@ -533,8 +478,8 @@ mod tests {
     fn decrease_key_reroutes_through_cheaper_parent() {
         // Diamond where the first discovery of vertex 3 is later improved:
         // 0-1 (1), 0-2 (10), 1-3 (100), 2-3 (1) ⇒ best is 0→1→3 at 101
-        // versus 0→2→3 at 11; the engine must decrease 3's key after
-        // settling 2.
+        // versus 0→2→3 at 11; the engine must re-push 3 at the lower key
+        // after settling 2 and skip the stale entry.
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         let w = |e: EdgeId| [1u64, 10, 100, 1][e];
         let mut scratch = SearchScratch::<u64>::new();
@@ -542,6 +487,7 @@ mod tests {
         assert_eq!(scratch.cost(3), Some(&11));
         assert_eq!(scratch.path_to(3).unwrap().vertices(), &[0, 2, 3]);
         assert_eq!(scratch.hops(3), Some(2));
+        assert!(!scratch.ties_detected());
     }
 
     #[test]
@@ -599,20 +545,6 @@ mod tests {
         got.sort_unstable();
         expected.sort_unstable();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn inline_engine_stale_entries_are_skipped() {
-        // The diamond forces a re-push: vertex 3 is first discovered at
-        // cost 101 via 1, then improved to 11 via 2; the stale entry must
-        // be ignored and the final tree must reflect the improvement.
-        let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        let w = |e: EdgeId| [1u64, 10, 100, 1][e];
-        let mut scratch = SearchScratch::<u64>::new();
-        dijkstra_into(&g, 0, &FaultSet::empty(), |e, _, _| w(e), &mut scratch);
-        assert_eq!(scratch.cost(3), Some(&11));
-        assert_eq!(scratch.path_to(3).unwrap().vertices(), &[0, 2, 3]);
-        assert!(!scratch.ties_detected());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! Sweep every single-edge fault from two sources:
 //!
 //! ```
-//! use rsp_graph::{dijkstra_sweep, generators, FaultSet, SweepScratch};
+//! use rsp_graph::{dijkstra_sweep, generators, FaultSet, SelectedTree, SweepScratch};
 //!
 //! let g = generators::grid(4, 4);
 //! let faults: Vec<FaultSet> = (0..g.m()).map(FaultSet::single).collect();
@@ -39,11 +39,11 @@ use std::ops::ControlFlow;
 
 use rsp_arith::PathCost;
 
-use crate::bfs::BfsTree;
 use crate::fault::FaultSet;
 use crate::graph::{EdgeId, Graph, Vertex};
 use crate::repair::{RepairScratch, NONE};
 use crate::scratch::{dijkstra_into, EdgeCostSource, SearchScratch};
+use crate::tree::SelectedTree;
 
 /// How a sweep's queries were answered; read it via
 /// [`SweepScratch::stats`]. Counts accumulate across sweeps on the same
@@ -143,6 +143,8 @@ impl<C: PathCost> SweepScratch<C> {
 /// the duration of the visitor call. It reads the kernel's overlay over
 /// the tree a search left: the source's base run when the query was
 /// repaired, the fallback search (under an empty overlay) otherwise.
+/// Read the tree through [`SelectedTree`]; copy it out with
+/// [`SelectedTree::to_bfs_tree`] only to keep it past the call.
 #[derive(Debug)]
 pub struct SweepView<'a, C> {
     g: &'a Graph,
@@ -154,11 +156,6 @@ pub struct SweepView<'a, C> {
 // Repairs only remove edges, so a vertex `tree` did not reach stays
 // unreached: the overlay is read for `tree`-reached vertices only.
 impl<C: PathCost> SweepView<'_, C> {
-    /// The query's source vertex.
-    pub fn source(&self) -> Vertex {
-        self.tree.source()
-    }
-
     /// Exact cost of the selected source-to-`v` path, or `None` if `v` is
     /// unreachable.
     pub fn cost(&self, v: Vertex) -> Option<&C> {
@@ -170,28 +167,33 @@ impl<C: PathCost> SweepView<'_, C> {
     pub fn hops(&self, v: Vertex) -> Option<u32> {
         self.tree.reached(v).then(|| self.kernel.hops(self.tree, v)).flatten()
     }
+}
 
-    /// Parent of `v` in the selected tree as `(vertex, edge id)`, or
-    /// `None` for the source and unreachable vertices.
-    pub fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
+/// The edge listing walks the searched tree's reached list instead of
+/// `0..n`; the reachable count was taken when the query was answered.
+impl<C: PathCost> SelectedTree for SweepView<'_, C> {
+    fn source(&self) -> Vertex {
+        self.tree.source()
+    }
+
+    fn n(&self) -> usize {
+        self.g.n()
+    }
+
+    fn dist(&self, v: Vertex) -> Option<u32> {
+        self.hops(v)
+    }
+
+    fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
         self.tree.reached(v).then(|| self.kernel.parent(self.g, self.tree, v)).flatten()
     }
 
-    /// Number of vertices the selected tree reaches (incl. the source).
-    pub fn reachable_count(&self) -> usize {
-        self.reached
+    fn tree_edges(&self) -> Box<dyn Iterator<Item = EdgeId> + '_> {
+        Box::new(self.tree.touched.iter().filter_map(|&v| self.parent(v as usize).map(|(_, e)| e)))
     }
 
-    /// Materializes the selected tree as an owned [`BfsTree`].
-    pub fn to_bfs_tree(&self) -> BfsTree {
-        let mut dist = vec![None; self.g.n()];
-        let mut parent = vec![None; self.g.n()];
-        for &v in &self.tree.touched {
-            let v = v as usize;
-            dist[v] = self.hops(v);
-            parent[v] = self.parent(v);
-        }
-        BfsTree::from_parts(self.source(), dist, parent)
+    fn reachable_count(&self) -> usize {
+        self.reached
     }
 }
 

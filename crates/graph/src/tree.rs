@@ -1,4 +1,5 @@
-//! Cut/subtree helpers over parent-pointer trees.
+//! Parent-pointer trees: one read surface ([`SelectedTree`]) and the
+//! cut/subtree helpers.
 //!
 //! A shortest-path tree stored as per-vertex parent pointers (the form
 //! `rsp_oracle`'s snapshot rows take) has no child lists, but the
@@ -14,7 +15,94 @@
 //! is the companion cut test: is this edge on the tree at all, and if
 //! so which endpoint is the child (the subtree root)?
 
+use crate::bfs::BfsTree;
 use crate::graph::{EdgeId, Graph, Vertex};
+use crate::path::Path;
+
+/// Read access to one selected shortest-path tree `π(s, · | F)` where the
+/// search left it: an owned [`BfsTree`], a finished
+/// [`crate::SearchScratch`] or a sweep's [`crate::SweepView`].
+///
+/// Implementors supply the root, the vertex count, and per-vertex
+/// distances and parents; the trait supplies the rest once. It is object
+/// safe: `rsp_core`'s `Rpts::for_each_tree` lends each tree as `&dyn
+/// SelectedTree`, and only a caller that keeps one copies it
+/// ([`SelectedTree::to_bfs_tree`]).
+///
+/// # Examples
+///
+/// ```
+/// use rsp_graph::{bfs, dijkstra, generators, FaultSet, SelectedTree};
+///
+/// // One reader for an owned tree and a finished search alike.
+/// fn edges_and_reach(tree: &dyn SelectedTree) -> (usize, usize) {
+///     (tree.tree_edges().count(), tree.reachable_count())
+/// }
+///
+/// let g = generators::path_graph(4);
+/// let owned = bfs(&g, 0, &FaultSet::empty());
+/// let scratch = dijkstra(&g, 0, &FaultSet::empty(), |_, _, _| 1u64);
+/// assert_eq!(edges_and_reach(&owned), (3, 4));
+/// assert_eq!(edges_and_reach(&scratch), (3, 4));
+/// assert_eq!(scratch.path_to(3), owned.path_to(3));
+/// ```
+pub trait SelectedTree {
+    /// The tree's root.
+    fn source(&self) -> Vertex;
+
+    /// Vertex count of the tree's graph, the bound of every walk.
+    fn n(&self) -> usize;
+
+    /// Hop count of the selected root-to-`v` path, or `None` if `v` is
+    /// unreachable: the unweighted distance `dist_{G\F}` for a BFS tree and
+    /// for a tiebreaking-weight tree, whose perturbations stay within a
+    /// hop class.
+    fn dist(&self, v: Vertex) -> Option<u32>;
+
+    /// Parent of `v` in the tree as `(vertex, edge id)`, or `None` for
+    /// the root and unreachable vertices.
+    fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)>;
+
+    /// The root-to-`v` tree path, or `None` if `v` is unreachable. The
+    /// walk takes at most `n` steps and also answers `None` when the
+    /// parent chain breaks or cycles before reaching the root.
+    fn path_to(&self, v: Vertex) -> Option<Path> {
+        let hops = self.dist(v)? as usize;
+        let (n, source) = (self.n(), self.source());
+        let (mut verts, mut cur) = (Vec::with_capacity(hops.min(n) + 1), v);
+        verts.push(cur);
+        for _ in 0..n {
+            if cur == source {
+                verts.reverse();
+                return Some(Path::new(verts));
+            }
+            cur = self.parent(cur)?.0;
+            verts.push(cur);
+        }
+        None
+    }
+
+    /// All tree edge ids, one per reachable non-root vertex.
+    fn tree_edges(&self) -> Box<dyn Iterator<Item = EdgeId> + '_> {
+        Box::new((0..self.n()).filter_map(|v| self.parent(v).map(|(_, e)| e)))
+    }
+
+    /// Number of reachable vertices, the root included.
+    fn reachable_count(&self) -> usize {
+        (0..self.n()).filter(|&v| self.dist(v).is_some()).count()
+    }
+
+    /// Copies the tree into an owned [`BfsTree`]: the one copy, for
+    /// callers that keep a tree past the next query into its scratch.
+    fn to_bfs_tree(&self) -> BfsTree {
+        let n = self.n();
+        BfsTree::from_parts(
+            self.source(),
+            (0..n).map(|v| self.dist(v)).collect(),
+            (0..n).map(|v| self.parent(v)).collect(),
+        )
+    }
+}
 
 /// If `e` is a tree edge of the parent-pointer tree described by
 /// `parent`, returns the **child** endpoint — the root of the subtree
@@ -27,7 +115,7 @@ use crate::graph::{EdgeId, Graph, Vertex};
 /// # Examples
 ///
 /// ```
-/// use rsp_graph::{bfs, generators, tree_edge_child, FaultSet};
+/// use rsp_graph::{bfs, generators, tree_edge_child, FaultSet, SelectedTree};
 ///
 /// let g = generators::path_graph(4); // 0 - 1 - 2 - 3
 /// let tree = bfs(&g, 0, &FaultSet::empty());
@@ -91,7 +179,7 @@ impl SubtreeScratch {
     /// # Examples
     ///
     /// ```
-    /// use rsp_graph::{bfs, generators, FaultSet, SubtreeScratch};
+    /// use rsp_graph::{bfs, generators, FaultSet, SelectedTree, SubtreeScratch};
     ///
     /// let g = generators::star(5); // center 0, leaves 1..=5
     /// let tree = bfs(&g, 0, &FaultSet::empty());

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::graph::{EdgeId, Graph, Vertex};
-use crate::{dijkstra, FaultSet, WeightedSpt};
+use crate::{dijkstra, FaultSet, SearchScratch};
 
 /// Positive integer weights for every edge of a graph.
 ///
@@ -110,7 +110,7 @@ pub fn weighted_sssp(
     weights: &EdgeWeights,
     source: Vertex,
     faults: &FaultSet,
-) -> WeightedSpt<u64> {
+) -> SearchScratch<u64> {
     dijkstra(g, source, faults, |e, _, _| weights.get(e))
 }
 
@@ -118,6 +118,7 @@ pub fn weighted_sssp(
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::SelectedTree;
 
     #[test]
     fn uniform_weights_scale_bfs() {

@@ -15,7 +15,7 @@ use rsp_arith::{BigInt, PathCost};
 use rsp_graph::reference::{ref_bfs, ref_dijkstra, RefGraph, RefTree};
 use rsp_graph::{
     bfs_into, dijkstra_into, dijkstra_sweep, gen, generators, parallel_indexed, DirectedCosts,
-    FaultSet, Graph, SearchScratch, SweepScratch, Vertex,
+    FaultSet, Graph, SearchScratch, SelectedTree, SweepScratch, Vertex,
 };
 
 /// One graph drawn from the six generator families the differential suite

@@ -2,7 +2,9 @@
 //! agreement, and generator contracts.
 
 use proptest::prelude::*;
-use rsp_graph::{bfs, dijkstra, generators, is_connected, EdgeWeights, FaultSet, Graph, Path};
+use rsp_graph::{
+    bfs, dijkstra, generators, is_connected, EdgeWeights, FaultSet, Graph, Path, SelectedTree,
+};
 
 fn gnm_params() -> impl Strategy<Value = (usize, usize, u64)> {
     (3usize..=24, 0usize..=3, any::<u64>()).prop_map(|(n, density, seed)| {

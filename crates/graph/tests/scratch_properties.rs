@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rsp_arith::BigInt;
 use rsp_graph::{
     bfs, bfs_into, dijkstra, dijkstra_into, generators, BfsTree, DirectedCosts, FaultSet, Graph,
-    SearchScratch, WeightedSpt,
+    SearchScratch, SelectedTree,
 };
 
 fn gnm_params() -> impl Strategy<Value = (usize, usize, u64)> {
@@ -56,7 +56,7 @@ fn assert_bfs_identical(g: &Graph, fresh: &BfsTree, scratch: &SearchScratch<u32>
 
 fn assert_spt_identical<C: rsp_arith::PathCost>(
     g: &Graph,
-    fresh: &WeightedSpt<C>,
+    fresh: &SearchScratch<C>,
     scratch: &SearchScratch<C>,
 ) {
     for v in g.vertices() {

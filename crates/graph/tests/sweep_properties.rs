@@ -16,7 +16,7 @@ use rsp_graph::reference::{ref_dijkstra, RefGraph};
 use rsp_graph::repair::{RepairScratch, Tie};
 use rsp_graph::{
     dijkstra_into, dijkstra_sweep, gen, generators, parallel_indexed, tree_edge_child, FaultSet,
-    Graph, SearchScratch, SweepScratch, SweepStats, SweepView, Vertex,
+    Graph, SearchScratch, SelectedTree, SweepScratch, SweepStats, SweepView, Vertex,
 };
 
 fn gnm_params() -> impl Strategy<Value = (usize, usize, u64)> {

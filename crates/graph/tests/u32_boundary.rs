@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use rsp_graph::{
-    bfs, FaultEvent, FaultSet, Graph, GraphBuilder, GraphError, WireEventError, MAX_EDGES,
-    MAX_VERTICES, WIRE_EVENT_LEN,
+    bfs, FaultEvent, FaultSet, Graph, GraphBuilder, GraphError, SelectedTree, WireEventError,
+    MAX_EDGES, MAX_VERTICES, WIRE_EVENT_LEN,
 };
 
 /// The id limit itself: `u32::MAX` is the engine-wide sentinel (settled

@@ -1,7 +1,7 @@
 //! The labeling scheme of Theorem 30.
 
 use rsp_core::Rpts;
-use rsp_graph::{bfs, FaultSet, Graph, GraphBuilder, Vertex};
+use rsp_graph::{bfs, FaultSet, Graph, GraphBuilder, SelectedTree, Vertex};
 use rsp_preserver::ft_bfs_structure;
 
 use crate::bits::{width_for, BitReader, BitWriter};

@@ -77,6 +77,7 @@ mod tests {
     use super::*;
     use crate::failover::MplsNetwork;
     use rsp_core::{RandomGridAtw, Rpts};
+    use rsp_graph::SelectedTree;
     use rsp_graph::{bfs, generators};
 
     #[test]

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use rsp_core::Rpts;
-use rsp_graph::{bfs, EdgeId, FaultSet, Graph, Path, Vertex};
+use rsp_graph::{bfs, EdgeId, FaultSet, Graph, Path, SelectedTree, Vertex};
 
 use crate::table::DualTables;
 

@@ -1,7 +1,7 @@
 //! The dual routing tables of the paper's MPLS deployment sketch.
 
 use rsp_core::Rpts;
-use rsp_graph::{FaultSet, Graph, NextHopTable, Path, Vertex};
+use rsp_graph::{FaultSet, Graph, NextHopTable, Path, SelectedTree, Vertex};
 
 /// The two routing tables of the restorable MPLS deployment.
 ///

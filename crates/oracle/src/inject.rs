@@ -59,7 +59,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rsp_arith::PathCost;
 use rsp_core::Rpts;
-use rsp_graph::{FaultEvent, FaultState, Graph, SearchScratch, Vertex};
+use rsp_graph::{FaultEvent, FaultState, Graph, SearchScratch, SelectedTree, Vertex};
 
 use super::{BuildFault, BuildProbe, BuildStage, ChurnPipeline};
 use crate::serve::Oracle;

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use rsp_arith::PathCost;
 use rsp_core::{ExactScheme, Rpts};
 use rsp_graph::repair::{Cell, TreeCells};
-use rsp_graph::{EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex};
+use rsp_graph::{EdgeId, FaultSet, Graph, Path, SearchScratch, SelectedTree, Vertex};
 
 use crate::churn::inject::CellCorruption;
 

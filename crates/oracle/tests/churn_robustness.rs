@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
-use rsp_graph::{generators, FaultEvent, FaultSet, FaultState, Graph};
+use rsp_graph::{generators, FaultEvent, FaultSet, FaultState, Graph, SelectedTree};
 use rsp_oracle::churn::inject::{
     corrupt_published_row, flaky_builder, random_trace, random_trace_with, verify_converged,
     verify_published, CellCorruption, InjectionPlan, StreamInjector, TraceOptions,

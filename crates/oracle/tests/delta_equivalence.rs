@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
 use rsp_graph::{
     gen, generators, parallel_indexed, tree_edge_child, FaultEvent, FaultSet, FaultState, Graph,
-    SearchScratch, SubtreeScratch,
+    SearchScratch, SelectedTree, SubtreeScratch,
 };
 use rsp_oracle::churn::inject::{
     flaky_delta_builder, random_trace_with, verify_converged, TraceOptions,

@@ -9,7 +9,8 @@ use std::ops::ControlFlow;
 use proptest::prelude::*;
 use rsp_core::{ExactScheme, RandomGridAtw, Rpts};
 use rsp_graph::{
-    dijkstra_sweep, generators, FaultSet, Graph, SearchScratch, SweepScratch, SweepView, Vertex,
+    dijkstra_sweep, generators, FaultSet, Graph, SearchScratch, SelectedTree, SweepScratch,
+    SweepView, Vertex,
 };
 use rsp_oracle::{Oracle, OracleSnapshot, TreeView};
 

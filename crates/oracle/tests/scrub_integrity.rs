@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
-use rsp_graph::{generators, FaultSet, Graph, SearchScratch};
+use rsp_graph::{generators, FaultSet, Graph, SearchScratch, SelectedTree};
 use rsp_oracle::churn::inject::{corrupt_published_row, verify_converged, CellCorruption};
 use rsp_oracle::churn::{ChurnConfig, ChurnPipeline};
 use rsp_oracle::scrub::{ScrubConfig, Scrubber};

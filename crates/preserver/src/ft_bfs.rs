@@ -18,7 +18,7 @@ use std::fmt;
 use std::ops::ControlFlow;
 
 use rsp_core::{Rpts, RptsScratch};
-use rsp_graph::{parallel_frontier, EdgeId, FaultSet, Graph, ShardedSet, Vertex};
+use rsp_graph::{parallel_frontier, EdgeId, FaultSet, Graph, SelectedTree, ShardedSet, Vertex};
 
 /// A preserver: a subset of `G`'s edges, plus build statistics.
 ///
@@ -396,6 +396,21 @@ pub fn ft_sv_preserver<S: Rpts>(scheme: &S, sources: &[Vertex], f: usize) -> Pre
 /// per call). The edge set is unaffected — only
 /// [`Preserver::trees_computed`] (and the stats) differ, and only on
 /// degenerate inputs with repeated sources.
+///
+/// # Examples
+///
+/// ```
+/// use rsp_core::RandomGridAtw;
+/// use rsp_preserver::{ft_sv_preserver, ft_sv_preserver_frontier};
+/// use rsp_graph::generators;
+///
+/// let g = generators::grid(3, 4);
+/// let scheme = RandomGridAtw::theorem20(&g, 9).into_scheme();
+/// let (par, _stats) = ft_sv_preserver_frontier(&scheme, &[0, 11], 1, 4);
+/// let seq = ft_sv_preserver(&scheme, &[0, 11], 1);
+/// assert_eq!(par.edges(), seq.edges());
+/// assert_eq!(par.trees_computed(), seq.trees_computed());
+/// ```
 pub fn ft_sv_preserver_frontier<S: Rpts + Sync>(
     scheme: &S,
     sources: &[Vertex],
@@ -404,42 +419,6 @@ pub fn ft_sv_preserver_frontier<S: Rpts + Sync>(
 ) -> (Preserver, EnumerationStats) {
     let seeds = sources.iter().map(|&s| (s, FaultSet::empty())).collect();
     overlay_frontier(scheme, seeds, f, workers)
-}
-
-/// [`ft_sv_preserver`] with the FT-BFS builds fanned out over a worker
-/// pool — [`ft_sv_preserver_frontier`] minus the stats return.
-///
-/// Both the per-source axis and the fault-set enumeration *inside* each
-/// source run on the shared work-stealing frontier (before PR 5 only
-/// sources were parallel; a single-source `f ≥ 2` build serialized). The
-/// preserver is identical to the sequential form for every worker count
-/// — with distinct sources, tree counts included; repeated sources
-/// collapse to one enumeration each (see
-/// [`ft_sv_preserver_frontier`]), which the sequential build instead
-/// re-enumerates, so only `trees_computed` can differ and only on that
-/// degenerate input.
-///
-/// # Examples
-///
-/// ```
-/// use rsp_core::RandomGridAtw;
-/// use rsp_preserver::{ft_sv_preserver, ft_sv_preserver_par};
-/// use rsp_graph::generators;
-///
-/// let g = generators::grid(3, 4);
-/// let scheme = RandomGridAtw::theorem20(&g, 9).into_scheme();
-/// let par = ft_sv_preserver_par(&scheme, &[0, 11], 1, 4);
-/// let seq = ft_sv_preserver(&scheme, &[0, 11], 1);
-/// assert_eq!(par.edges(), seq.edges());
-/// assert_eq!(par.trees_computed(), seq.trees_computed());
-/// ```
-pub fn ft_sv_preserver_par<S: Rpts + Sync>(
-    scheme: &S,
-    sources: &[Vertex],
-    f: usize,
-    workers: usize,
-) -> Preserver {
-    ft_sv_preserver_frontier(scheme, sources, f, workers).0
 }
 
 /// The `f_total`-FT `S × S` preserver of Theorem 31, built as an
@@ -534,7 +513,7 @@ mod tests {
         let sources = vec![0, 4, 9, 13, 17];
         let seq = ft_sv_preserver(&scheme, &sources, 1);
         for workers in [1, 2, 8] {
-            let par = ft_sv_preserver_par(&scheme, &sources, 1, workers);
+            let (par, _) = ft_sv_preserver_frontier(&scheme, &sources, 1, workers);
             assert_eq!(par.edges(), seq.edges(), "workers={workers}");
             assert_eq!(par.trees_computed(), seq.trees_computed(), "workers={workers}");
         }

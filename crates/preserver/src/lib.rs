@@ -27,10 +27,9 @@
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
 //! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), the preserver
-//! enumeration pipeline, and the serving layer (its "Serving layer"
-//! chapter — `rsp_oracle` snapshots can carry a [`Preserver`] edge set
-//! as a shippable artifact alongside the compiled trees).
+//! engine (scratch -> repair kernel and sweep -> pool/frontier), the
+//! preserver enumeration pipeline, and the serving layer (its "Serving
+//! layer" chapter).
 //!
 //! # Paper cross-reference
 //!
@@ -39,7 +38,7 @@
 //! | [`Preserver`] | Definition 4: `S × T` `f`-FT distance preserver |
 //! | [`overlay_paths`], [`overlay_paths_par`] | the raw overlay primitive behind every Section 4.1 construction |
 //! | [`ft_bfs_structure`], [`ft_bfs_structure_frontier`] | Theorem 26 with `\|S\| = 1` (FT-BFS structure, stability-driven enumeration — sequential or work-stealing) |
-//! | [`ft_sv_preserver`], [`ft_sv_preserver_par`], [`ft_sv_preserver_frontier`] | Theorem 26 `S × V` preserver (sources and fault sets share one frontier) |
+//! | [`ft_sv_preserver`], [`ft_sv_preserver_frontier`] | Theorem 26 `S × V` preserver (sources and fault sets share one frontier) |
 //! | [`ft_subset_preserver`] | Theorem 31: restorability upgrades `f` to `f + 1` for `S × S` |
 //! | [`verify_preserver`] | Definition 4 checked against ground-truth BFS |
 //! | [`lower_bound`] | Theorem 27 / Appendix B `G_f(d)` family (Figures 2–3) |
@@ -69,8 +68,8 @@ mod verify;
 
 pub use ft_bfs::{
     ft_bfs_structure, ft_bfs_structure_frontier, ft_bfs_structure_with, ft_subset_preserver,
-    ft_sv_preserver, ft_sv_preserver_frontier, ft_sv_preserver_par, overlay_paths,
-    overlay_paths_par, EnumerationStats, Preserver,
+    ft_sv_preserver, ft_sv_preserver_frontier, overlay_paths, overlay_paths_par, EnumerationStats,
+    Preserver,
 };
 pub use verify::{
     translate_faults, verify_preserver, verify_preserver_counting, PairSet, PreserverViolation,

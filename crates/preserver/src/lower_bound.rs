@@ -240,6 +240,7 @@ fn run_with<S: Rpts>(lb: &LowerBoundGraph, scheme: &S) -> LowerBoundOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsp_graph::SelectedTree;
     use rsp_graph::{bfs, is_connected};
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use rsp_graph::{bfs, FaultSet, Graph, Vertex};
+use rsp_graph::{bfs, FaultSet, Graph, SelectedTree, Vertex};
 
 use crate::ft_bfs::Preserver;
 

@@ -1,7 +1,7 @@
 //! Baseline replacement path algorithms, used as ground truth in tests and
 //! as comparison points in the benches (experiment E4).
 
-use rsp_graph::{bfs_into, FaultSet, Graph, Path, SearchScratch, Vertex};
+use rsp_graph::{bfs_into, FaultSet, Graph, Path, SearchScratch, SelectedTree, Vertex};
 
 use crate::single_pair::{ReplacementEntry, SinglePairResult};
 use crate::subset_rp::{PairReplacements, SubsetRpResult};

@@ -105,6 +105,7 @@ impl SingleFaultOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsp_graph::SelectedTree;
     use rsp_graph::{bfs, generators, FaultSet};
 
     #[test]

@@ -24,7 +24,7 @@
 
 use rsp_arith::PathCost;
 use rsp_core::RandomGridAtw;
-use rsp_graph::{DirectedCosts, EdgeId, Graph, Path, SearchScratch, Vertex};
+use rsp_graph::{DirectedCosts, EdgeId, Graph, Path, SearchScratch, SelectedTree, Vertex};
 
 use crate::unionfind::NextFree;
 

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use rsp_core::RandomGridAtw;
-use rsp_graph::{bfs, EdgeId, FaultSet, Graph, Vertex};
+use rsp_graph::{bfs, EdgeId, FaultSet, Graph, SelectedTree, Vertex};
 
 /// All `{s} × V` replacement distances: `dist_{G\{e}}(s, t)` for every
 /// target `t` and every edge `e`.

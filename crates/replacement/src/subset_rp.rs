@@ -12,7 +12,9 @@
 use std::collections::HashMap;
 
 use rsp_core::RandomGridAtw;
-use rsp_graph::{parallel_indexed, EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex};
+use rsp_graph::{
+    parallel_indexed, EdgeId, FaultSet, Graph, Path, SearchScratch, SelectedTree, Vertex,
+};
 
 use crate::single_pair::{
     single_pair_replacement_paths_with, ReplacementEntry, ReplacementScratch, SinglePairResult,

@@ -21,7 +21,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rsp_graph::{dijkstra, EdgeId, EdgeWeights, FaultSet, Graph, Path, Vertex, WeightedSpt};
+use rsp_graph::{
+    dijkstra, EdgeId, EdgeWeights, FaultSet, Graph, Path, SearchScratch, SelectedTree, Vertex,
+};
 
 use crate::unionfind::NextFree;
 
@@ -40,7 +42,7 @@ fn perturbed_costs(g: &Graph, weights: &EdgeWeights, seed: u64) -> Vec<u128> {
         .collect()
 }
 
-fn spt_with(g: &Graph, costs: &[u128], source: Vertex, faults: &FaultSet) -> WeightedSpt<u128> {
+fn spt_with(g: &Graph, costs: &[u128], source: Vertex, faults: &FaultSet) -> SearchScratch<u128> {
     dijkstra(g, source, faults, |e, _, _| costs[e])
 }
 
@@ -177,7 +179,7 @@ pub fn weighted_single_pair(
     Some(WeightedSinglePair { path, base, entries })
 }
 
-fn branch(g: &Graph, spt: &WeightedSpt<u128>, pos: &[usize]) -> Vec<Option<usize>> {
+fn branch(g: &Graph, spt: &SearchScratch<u128>, pos: &[usize]) -> Vec<Option<usize>> {
     let mut order: Vec<Vertex> = g.vertices().filter(|&v| spt.cost(v).is_some()).collect();
     order.sort_by_key(|&v| spt.hops(v).expect("reachable"));
     let mut out = vec![None; g.n()];

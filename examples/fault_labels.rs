@@ -9,6 +9,7 @@
 use restorable_tiebreaking::core::RandomGridAtw;
 use restorable_tiebreaking::graph::{bfs, generators, FaultSet};
 use restorable_tiebreaking::labeling::build_labeling;
+use rsp_graph::SelectedTree;
 
 fn main() {
     let g = generators::connected_gnm(40, 120, 77);

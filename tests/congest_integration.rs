@@ -6,6 +6,7 @@ use restorable_tiebreaking::congest::{
 };
 use restorable_tiebreaking::core::RandomGridAtw;
 use restorable_tiebreaking::graph::{bfs, diameter, generators, FaultSet};
+use rsp_graph::SelectedTree;
 
 #[test]
 fn distributed_spt_equals_centralized_everywhere() {

@@ -7,6 +7,7 @@ use restorable_tiebreaking::core::{restore_by_concatenation, GeometricAtw, Rando
 use restorable_tiebreaking::graph::{bfs, connected_pair, generators, FaultSet};
 use restorable_tiebreaking::labeling::build_labeling;
 use restorable_tiebreaking::replacement::subset_replacement_paths;
+use rsp_graph::SelectedTree;
 
 /// Strategy: a connected random graph with 6..=18 vertices and a density
 /// knob, plus a scheme seed.

@@ -7,6 +7,7 @@ use restorable_tiebreaking::graph::{bfs, components, generators, is_connected_av
 use restorable_tiebreaking::labeling::build_labeling;
 use restorable_tiebreaking::preserver::{ft_subset_preserver, verify_preserver, PairSet};
 use restorable_tiebreaking::replacement::subset_replacement_paths;
+use rsp_graph::SelectedTree;
 
 /// Barbells: every bridge edge is a cut edge; fault handling must report
 /// disconnection, never a wrong distance.

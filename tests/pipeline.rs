@@ -8,6 +8,7 @@ use restorable_tiebreaking::labeling::build_labeling;
 use restorable_tiebreaking::preserver::{ft_subset_preserver, verify_preserver, PairSet};
 use restorable_tiebreaking::replacement::subset_replacement_paths;
 use restorable_tiebreaking::spanner::{ft_additive_spanner, verify_spanner_stretch};
+use rsp_graph::SelectedTree;
 
 #[test]
 fn one_scheme_serves_every_layer() {

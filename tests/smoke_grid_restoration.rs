@@ -7,6 +7,7 @@
 
 use restorable_tiebreaking::core::{restore_single_fault, RandomGridAtw, Rpts};
 use restorable_tiebreaking::graph::{bfs, dijkstra, generators, FaultSet};
+use rsp_graph::SelectedTree;
 
 #[test]
 fn grid_restoration_matches_dijkstra_on_faulted_graph() {
