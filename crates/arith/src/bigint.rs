@@ -169,6 +169,30 @@ impl BigInt {
         }
     }
 
+    /// The value as an `f64`, rounded from its top limbs; infinite past
+    /// `f64`'s range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rsp_arith::BigInt;
+    /// assert_eq!(BigInt::pow2(100).to_f64(), 2f64.powi(100));
+    /// assert_eq!(BigInt::from_i128(-3).to_f64(), -3.0);
+    /// ```
+    pub fn to_f64(&self) -> f64 {
+        // Multiplying by 2^64 is exact, so each limb costs one rounding.
+        let mag = self
+            .mag
+            .iter()
+            .rev()
+            .fold(0.0, |acc, &limb| acc * 18_446_744_073_709_551_616.0 + limb as f64);
+        if self.is_negative() {
+            -mag
+        } else {
+            mag
+        }
+    }
+
     /// Converts to `i128` if the value fits.
     ///
     /// # Examples

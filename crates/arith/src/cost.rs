@@ -45,37 +45,52 @@ pub trait PathCost: Clone + Ord + std::fmt::Debug {
     fn set_zero(&mut self) {
         *self = Self::zero();
     }
+
+    /// Returns `self − other`, for `other ≤ self`.
+    ///
+    /// # Panics
+    ///
+    /// Native integer implementations panic if `other > self`.
+    fn minus(&self, other: &Self) -> Self;
+
+    /// Returns `self · k`, or `None` if the product overflows the type.
+    fn checked_times(&self, k: u64) -> Option<Self>;
+
+    /// The value as an `f64`, rounded (infinite past `f64`'s range): the
+    /// quotient estimate behind [`crate::HopDivisor`].
+    fn to_f64(&self) -> f64;
 }
 
-impl PathCost for u64 {
-    fn zero() -> Self {
-        0
-    }
+/// The [`PathCost`] impl of a native unsigned integer.
+macro_rules! native_cost {
+    ($t:ty) => {
+        impl PathCost for $t {
+            fn zero() -> Self {
+                0
+            }
 
-    fn plus(&self, edge: &Self) -> Self {
-        self.checked_add(*edge).expect("u64 path cost overflow")
-    }
+            fn plus(&self, edge: &Self) -> Self {
+                self.checked_add(*edge).expect(concat!(stringify!($t), " path cost overflow"))
+            }
+
+            fn minus(&self, other: &Self) -> Self {
+                self.checked_sub(*other).expect(concat!(stringify!($t), " cost underflow"))
+            }
+
+            fn checked_times(&self, k: u64) -> Option<Self> {
+                self.checked_mul(<$t>::try_from(k).ok()?)
+            }
+
+            fn to_f64(&self) -> f64 {
+                *self as f64
+            }
+        }
+    };
 }
 
-impl PathCost for u128 {
-    fn zero() -> Self {
-        0
-    }
-
-    fn plus(&self, edge: &Self) -> Self {
-        self.checked_add(*edge).expect("u128 path cost overflow")
-    }
-}
-
-impl PathCost for u32 {
-    fn zero() -> Self {
-        0
-    }
-
-    fn plus(&self, edge: &Self) -> Self {
-        self.checked_add(*edge).expect("u32 path cost overflow")
-    }
-}
+native_cost!(u32);
+native_cost!(u64);
+native_cost!(u128);
 
 impl PathCost for BigInt {
     fn zero() -> Self {
@@ -88,6 +103,18 @@ impl PathCost for BigInt {
 
     fn set_zero(&mut self) {
         self.clear_to_zero();
+    }
+
+    fn minus(&self, other: &Self) -> Self {
+        self.clone() - other.clone()
+    }
+
+    fn checked_times(&self, k: u64) -> Option<Self> {
+        Some(self.clone() * k)
+    }
+
+    fn to_f64(&self) -> f64 {
+        BigInt::to_f64(self)
     }
 }
 

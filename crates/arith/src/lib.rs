@@ -14,7 +14,9 @@
 //! * [`PathCost`] — the trait abstracting "a totally ordered cost that can be
 //!   accumulated along a path", implemented for the native unsigned integers
 //!   (used by the randomized schemes of Theorem 20 / Corollary 22, whose
-//!   scaled weights fit in `u128`) and for [`BigInt`].
+//!   scaled weights fit in `u128`) and for [`BigInt`];
+//! * [`HopDivisor`] — reads a path's hop count off its exact cost, once
+//!   a weight function is certified to keep hop classes apart.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
 //! workspace architecture: the crate layering, the three-level query
@@ -28,6 +30,7 @@
 //! | [`PathCost`] | exact scaled-integer substitution for the paper's real-valued weights (DESIGN.md substitution 1) |
 //! | `u128` impl | Theorem 20 / Corollary 22 randomized grids (`O(f log n)` bits fit a machine word) |
 //! | [`BigInt`] | Theorem 23 deterministic geometric weights (`O(\|E\|)` bits per weight) |
+//! | [`HopDivisor`] | Theorem 20's `h·2nK + Σi` with `\|Σi\| < nK`: hops from cost |
 //!
 //! # Examples
 //!
@@ -45,6 +48,8 @@
 
 mod bigint;
 mod cost;
+mod hops;
 
 pub use bigint::BigInt;
 pub use cost::PathCost;
+pub use hops::HopDivisor;

@@ -9,6 +9,8 @@
 //! alternative avoids it. Experiment E1 quantifies how often that actually
 //! happens.
 
+use std::ops::ControlFlow;
+
 use rsp_graph::{bfs, bfs_into, BfsTree, FaultSet, Graph, SelectedTree, Vertex};
 
 use crate::scheme::{Rpts, RptsScratch};
@@ -106,6 +108,32 @@ impl Rpts for BfsScheme {
         bfs_into(&self.graph, s, faults, sc);
         sc.to_bfs_tree()
     }
+
+    /// Lends each ascending-order tree where [`bfs_into`] left it, in
+    /// the scratch's BFS state; the descending order lends the tree its
+    /// flipped search translated back.
+    fn for_each_tree(
+        &self,
+        sources: &[Vertex],
+        fault_sets: &[FaultSet],
+        scratch: &mut RptsScratch,
+        visitor: &mut dyn FnMut(usize, usize, &dyn SelectedTree) -> ControlFlow<()>,
+    ) {
+        for (si, &s) in sources.iter().enumerate() {
+            for (fi, faults) in fault_sets.iter().enumerate() {
+                let flow = if self.flip {
+                    visitor(si, fi, &self.tree_from(s, faults))
+                } else {
+                    let sc = scratch.bfs_scratch();
+                    bfs_into(&self.graph, s, faults, sc);
+                    visitor(si, fi, &*sc)
+                };
+                if flow.is_break() {
+                    return;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -159,6 +187,32 @@ mod tests {
                     assert_eq!(with.parent(t), plain.parent(t));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn for_each_tree_lends_the_per_query_trees() {
+        let g = generators::grid(3, 3);
+        let sources = [0, 4, 8];
+        let faults: Vec<FaultSet> = (0..4).map(FaultSet::single).collect();
+        for order in [BfsOrder::Ascending, BfsOrder::Descending] {
+            let s = BfsScheme::new(&g, order);
+            let mut scratch = s.new_scratch();
+            let mut visited = 0;
+            s.for_each_tree(&sources, &faults, &mut scratch, &mut |si, fi, tree| {
+                let plain = s.tree_from(sources[si], &faults[fi]);
+                for t in g.vertices() {
+                    assert_eq!(tree.dist(t), plain.dist(t), "{order:?}");
+                    assert_eq!(tree.parent(t), plain.parent(t), "{order:?}");
+                }
+                visited += 1;
+                if visited == 7 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert_eq!(visited, 7, "{order:?}: the visitor's break stops the sweep");
         }
     }
 

@@ -5,7 +5,7 @@ use std::any::Any;
 use std::fmt;
 use std::ops::ControlFlow;
 
-use rsp_arith::PathCost;
+use rsp_arith::{HopDivisor, PathCost};
 use rsp_graph::{
     BfsTree, DirectedCosts, EdgeId, FaultSet, Graph, Path, SearchScratch, SelectedTree,
     SweepScratch, Vertex,
@@ -218,6 +218,9 @@ pub struct ExactScheme<C> {
     bwd: Vec<C>,
     unit: C,
     bits_per_weight: usize,
+    /// Certified at construction; `None` when perturbations can add up
+    /// to a unit edge.
+    hops: Option<HopDivisor<C>>,
 }
 
 impl<C: PathCost + 'static> ExactScheme<C> {
@@ -225,7 +228,8 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     ///
     /// `unit` is the scaled cost of an unperturbed unit edge and
     /// `bits_per_weight` the storage the perturbations need (reported by
-    /// experiment E10).
+    /// experiment E10). The hop bound is certified here, once, in `O(m)`
+    /// (see [`ExactScheme::hop_divisor`]).
     ///
     /// # Panics
     ///
@@ -239,7 +243,8 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     ) -> Self {
         assert_eq!(fwd.len(), graph.m(), "one forward cost per edge");
         assert_eq!(bwd.len(), graph.m(), "one backward cost per edge");
-        ExactScheme { graph, fwd, bwd, unit, bits_per_weight }
+        let hops = HopDivisor::certify(graph.n(), &unit, fwd.iter().chain(&bwd));
+        ExactScheme { graph, fwd, bwd, unit, bits_per_weight, hops }
     }
 
     /// The exact cost of traversing edge `e` from `from` to its other
@@ -261,6 +266,29 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     /// The scaled cost of one unperturbed unit edge.
     pub fn unit(&self) -> &C {
         &self.unit
+    }
+
+    /// The divisor that reads a selected path's hop count off its exact
+    /// cost, or `None` when the perturbations of some simple path could
+    /// add up to a whole unit edge (`L + U ≥ unit`, see
+    /// [`HopDivisor`]). Every ATW construction in this crate is
+    /// certified; stores of exact costs (`rsp_oracle` snapshots) refuse
+    /// a scheme that is not.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rsp_core::RandomGridAtw;
+    /// use rsp_graph::{generators, FaultSet};
+    ///
+    /// let g = generators::grid(4, 4);
+    /// let scheme = RandomGridAtw::theorem20(&g, 3).into_scheme();
+    /// let hops = scheme.hop_divisor().expect("Theorem 20 keeps hop classes apart");
+    /// let tree = scheme.spt(0, &FaultSet::empty());
+    /// assert_eq!(hops.hops(tree.cost(15).unwrap()), 6);
+    /// ```
+    pub fn hop_divisor(&self) -> Option<&HopDivisor<C>> {
+        self.hops.as_ref()
     }
 
     /// Bits needed to store one perturbation value (experiment E10).

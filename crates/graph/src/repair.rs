@@ -88,11 +88,16 @@ impl<C: PathCost> Cell<C> {
 }
 
 /// Read access to the cells of a base tree the kernel patches over.
+///
+/// The kernel reads a hop count only when it adopts a cell, so a base
+/// that derives hop counts from costs (`rsp_oracle`'s stored rows)
+/// pays for one derivation per adopted cell.
 pub trait TreeCells<C> {
-    /// `v`'s hop count, [`NONE`] when unreachable.
+    /// `true` iff `v` is reachable.
+    fn reached(&self, v: Vertex) -> bool;
+    /// `v`'s hop count; read only where [`TreeCells::reached`].
     fn hops(&self, v: Vertex) -> u32;
-    /// `v`'s exact cost; read only where [`TreeCells::hops`] is not
-    /// [`NONE`].
+    /// `v`'s exact cost; read only where [`TreeCells::reached`].
     fn cost(&self, v: Vertex) -> &C;
     /// `v`'s parent edge, [`NONE`] for the root and unreachable vertices.
     fn parent_edge(&self, v: Vertex) -> u32;
@@ -101,8 +106,13 @@ pub trait TreeCells<C> {
 /// A finished [`crate::dijkstra_into`] run is a base tree.
 impl<C: PathCost> TreeCells<C> for SearchScratch<C> {
     #[inline]
+    fn reached(&self, v: Vertex) -> bool {
+        SearchScratch::reached(self, v)
+    }
+
+    #[inline]
     fn hops(&self, v: Vertex) -> u32 {
-        SearchScratch::hops(self, v).unwrap_or(NONE)
+        self.hops[v]
     }
 
     #[inline]
@@ -139,11 +149,20 @@ impl<C: PathCost> Overlay<C> {
     }
 
     #[inline]
-    fn read<'a, B: TreeCells<C>>(&'a self, base: &'a B, v: Vertex) -> (u32, &'a C) {
-        match self.stamped(v) {
-            Some(c) => (c.hops, &c.cost),
-            None => (base.hops(v), base.cost(v)),
-        }
+    fn reached(&self, base: &impl TreeCells<C>, v: Vertex) -> bool {
+        self.stamped(v).map_or_else(|| base.reached(v), |c| c.hops != NONE)
+    }
+
+    /// Read only where [`Overlay::reached`].
+    #[inline]
+    fn hops(&self, base: &impl TreeCells<C>, v: Vertex) -> u32 {
+        self.stamped(v).map_or_else(|| base.hops(v), |c| c.hops)
+    }
+
+    /// Read only where [`Overlay::reached`].
+    #[inline]
+    fn cost<'a, B: TreeCells<C>>(&'a self, base: &'a B, v: Vertex) -> &'a C {
+        self.stamped(v).map_or_else(|| base.cost(v), |c| &c.cost)
     }
 
     #[inline]
@@ -225,15 +244,13 @@ impl<C: PathCost> RepairScratch<C> {
     /// `v`'s hop count over `base`, or `None` when unreachable.
     #[inline]
     pub fn hops(&self, base: &impl TreeCells<C>, v: Vertex) -> Option<u32> {
-        let h = self.overlay.read(base, v).0;
-        (h != NONE).then_some(h)
+        self.overlay.reached(base, v).then(|| self.overlay.hops(base, v))
     }
 
     /// `v`'s exact cost over `base`, or `None` when unreachable.
     #[inline]
     pub fn cost<'a, B: TreeCells<C>>(&'a self, base: &'a B, v: Vertex) -> Option<&'a C> {
-        let (h, c) = self.overlay.read(base, v);
-        (h != NONE).then_some(c)
+        self.overlay.reached(base, v).then(|| self.overlay.cost(base, v))
     }
 
     /// `v`'s parent over `base` as `(vertex, edge id)`, or `None` for the
@@ -302,9 +319,7 @@ impl<C: PathCost> RepairScratch<C> {
         for i in 0..self.detached.len() {
             let w = self.detached[i];
             for (x, e) in g.neighbors(w) {
-                if faults.contains(e)
-                    || self.subtree.contains(x)
-                    || self.overlay.read(base, x).0 == NONE
+                if faults.contains(e) || self.subtree.contains(x) || !self.overlay.reached(base, x)
                 {
                     continue;
                 }
@@ -339,7 +354,7 @@ impl<C: PathCost> RepairScratch<C> {
         // At most one endpoint can improve (positive costs): once one
         // does, the other's candidate runs back through it.
         for (from, to) in [(u, v), (v, u)] {
-            if self.heap.is_empty() && self.overlay.read(base, from).0 != NONE {
+            if self.heap.is_empty() && self.overlay.reached(base, from) {
                 self.relax(base, costs, from, e, to)?;
             }
         }
@@ -361,19 +376,18 @@ impl<C: PathCost> RepairScratch<C> {
         e: EdgeId,
         to: Vertex,
     ) -> Result<(), Tie> {
-        let (from_hops, from_cost) = self.overlay.read(base, from);
-        let cand = costs.compute(from_cost, e, from, to);
-        let (to_hops, to_cost) = self.overlay.read(base, to);
-        if to_hops != NONE {
-            match cand.cmp(to_cost) {
+        let cand = costs.compute(self.overlay.cost(base, from), e, from, to);
+        if self.overlay.reached(base, to) {
+            match cand.cmp(self.overlay.cost(base, to)) {
                 Ordering::Greater => return Ok(()),
                 Ordering::Equal => return Err(Tie),
                 Ordering::Less => {}
             }
         }
+        let hops = self.overlay.hops(base, from) + 1;
         self.adopted += 1;
         self.heap.push(Reverse((cand.clone(), to as u32)));
-        self.overlay.set(to, Cell { parent_edge: e as u32, hops: from_hops + 1, cost: cand });
+        self.overlay.set(to, Cell { parent_edge: e as u32, hops, cost: cand });
         Ok(())
     }
 
@@ -390,8 +404,7 @@ impl<C: PathCost> RepairScratch<C> {
     ) -> Result<(), Tie> {
         while let Some(Reverse((c, w))) = self.heap.pop() {
             let w = w as usize;
-            let (hops, cost) = self.overlay.read(base, w);
-            if hops == NONE || c != *cost {
+            if !self.overlay.reached(base, w) || c != *self.overlay.cost(base, w) {
                 continue;
             }
             for (x, e) in g.neighbors(w) {

@@ -94,7 +94,7 @@ use rsp_arith::PathCost;
 use rsp_graph::repair::{RepairScratch, Tie};
 use rsp_graph::{tree_edge_child, EdgeId, FaultSet, Vertex};
 
-use crate::snapshot::{BuildError, ListCell, OracleSnapshot, RowBase};
+use crate::snapshot::{BaseCells, BuildError, ListCell, OracleSnapshot};
 
 /// A row's cell list may replace at most `n / MATERIALIZE_SHARE` of its
 /// `n` cells: [`DeltaBuilder::build`] folds a longer list into a fresh
@@ -170,8 +170,8 @@ pub struct DeltaStats {
     /// same base and the same cell list.
     pub rows_shared: usize,
     /// Cells adopted across all localized waves (each adoption writes
-    /// one `(parent, hop, cost)` cell; the full rebuild writes
-    /// `sources × n` of them).
+    /// one `(parent, cost)` cell; the full rebuild writes `sources × n`
+    /// of them).
     pub cells_recomputed: usize,
 }
 
@@ -295,14 +295,10 @@ fn patch<C: PathCost + 'static>(
     source: Vertex,
     kernel: &mut RepairScratch<C>,
     list: &mut Vec<ListCell<C>>,
-    step: impl FnOnce(&mut RepairScratch<C>, &RowBase<C>) -> Result<bool, Tie>,
+    step: impl FnOnce(&mut RepairScratch<C>, &BaseCells<'_, C>) -> Result<bool, Tie>,
 ) -> Result<(), DeltaError> {
-    let r = snap.row(row);
-    kernel.begin(r.n());
-    for c in r.list() {
-        kernel.set(c.v as Vertex, c.cell.clone());
-    }
-    let changed = step(kernel, r.base())
+    let base = snap.row(row).load(kernel, snap.hop_divisor());
+    let changed = step(kernel, &base)
         .map_err(|Tie| DeltaError::Unsupported(DeltaUnsupported::TieDetected { source }))?;
     if changed {
         snap.row_mut(row).set_list(kernel.cells(), list);

@@ -409,7 +409,9 @@ pub fn truncate_random(bytes: &mut Vec<u8>, seed: u64) -> usize {
 /// [`BuildFault::Corrupt`] build probe, with `Hop`) flips.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellCorruption {
-    /// Bump a reachable non-source vertex's hop count by one.
+    /// Add one unit edge to a reachable non-source vertex's exact path
+    /// cost: a hop count one too high, as it looks once hop counts are
+    /// derived from costs.
     Hop,
     /// Erase a reachable non-source vertex's parent pointer.
     Parent,

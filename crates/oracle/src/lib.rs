@@ -13,7 +13,8 @@
 //!
 //! * **Control plane** — [`SnapshotBuilder`] compiles a
 //!   [`rsp_core::ExactScheme`] into flat struct-of-arrays canonical
-//!   trees (parent edge, hop count and cost per cell). Expensive,
+//!   trees (parent edge and cost per cell, hops derived: 20 B a cell
+//!   for `u128` costs). Expensive,
 //!   allocating, single-threaded — and entirely off the read path.
 //! * **Publication** — [`Oracle::publish`] swaps the current snapshot
 //!   `Arc` and bumps an epoch counter; in-flight readers keep the old

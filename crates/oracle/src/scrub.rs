@@ -10,7 +10,8 @@
 //!
 //! * **Budgeted audit.** Each [`Scrubber::tick`] re-verifies
 //!   [`ScrubConfig::rows_per_tick`] source rows of the currently
-//!   published snapshot **cell by cell** (hops, parents, exact costs)
+//!   published snapshot **cell by cell** (reachability, parents, exact
+//!   costs, which fix the hop counts)
 //!   against a fresh [`rsp_core::ExactScheme::spt_into`] run per row on
 //!   the snapshot's own base fault state — the engine the build uses,
 //!   and the same row audit the commit

@@ -188,6 +188,7 @@ impl<C: PathCost + 'static> Oracle<C> {
             snapshot,
             scratch: SearchScratch::with_capacity(n),
             faults: FaultSet::empty(),
+            union: FaultSet::empty(),
         }
     }
 }
@@ -199,7 +200,9 @@ impl<C: PathCost + 'static> Oracle<C> {
 /// precomputed tree — is one atomic epoch load, an `O(|F|)` tree-touch
 /// check, and flat-array reads: **zero locks, zero allocation**. Fault
 /// sets that hit the tree run the exact engine inside the reader's own
-/// warm scratch (still allocation-free). Epoch changes are absorbed at
+/// warm scratch, on a snapshot with base faults against their union
+/// with the query's, built in the reader's own buffer (still
+/// allocation-free). Epoch changes are absorbed at
 /// query boundaries: one `Arc` clone under the publication mutex, after
 /// which the retired snapshot is released.
 pub struct OracleReader<C> {
@@ -209,6 +212,9 @@ pub struct OracleReader<C> {
     scratch: SearchScratch<C>,
     /// Reused normalization buffer for [`OracleReader::query_edges`].
     faults: FaultSet,
+    /// Reused `base ∪ F` buffer for the engine path on snapshots with
+    /// base faults.
+    union: FaultSet,
 }
 
 impl<C: PathCost + 'static> OracleReader<C> {
@@ -287,7 +293,7 @@ impl<C: PathCost + 'static> OracleReader<C> {
         faults: &FaultSet,
     ) -> Result<TreeView<'_, C>, QueryError> {
         self.refresh();
-        self.snapshot.try_query(s, faults, &mut self.scratch)
+        self.snapshot.try_query_in(s, faults, &mut self.union, &mut self.scratch)
     }
 
     /// [`OracleReader::query`] from a **raw edge-id list**: the serving
@@ -349,7 +355,8 @@ impl<C: PathCost + 'static> OracleReader<C> {
         edges: &[EdgeId],
     ) -> Result<TreeView<'_, C>, QueryError> {
         self.refresh();
-        self.snapshot.try_query_edges(s, edges, &mut self.faults, &mut self.scratch)
+        self.faults.set_from(edges.iter().copied());
+        self.snapshot.try_query_in(s, &self.faults, &mut self.union, &mut self.scratch)
     }
 
     /// Point-to-point convenience: `dist_{G\F}(s, t)`.

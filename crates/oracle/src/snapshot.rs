@@ -6,12 +6,18 @@
 //! * the graph and the scheme's per-direction exact costs (owned, so a
 //!   snapshot is self-contained and `'static`);
 //! * one **canonical fault-free tree per serving source**, stored as a
-//!   shared base of struct-of-arrays cells (`u32` parent edge / hop
-//!   count, plus the exact path cost) — the restoration lemma's "paths
-//!   you already stored" — plus a short, shared, sorted list of the
-//!   cells delta commits replaced since ([`TreeRow`]). The parent
-//!   vertex is derived, not stored: graphs are simple, so it is the
-//!   parent edge's other endpoint.
+//!   shared base of struct-of-arrays cells (`u32` parent edge plus the
+//!   exact path cost: 20 B a cell for `u128` costs) — the restoration
+//!   lemma's "paths you already stored" — plus a short, shared, sorted
+//!   list of the cells delta commits replaced since ([`TreeRow`]).
+//!
+//! A cell stores parent edge + cost; everything else is derived. The
+//! parent vertex is the parent edge's other endpoint (graphs are
+//! simple). A cell is reached iff it has a parent edge or is the row's
+//! source. Its hop count is read off its cost by the scheme's certified
+//! [`HopDivisor`] (Theorem 20's `h·2nK + Σi` with `|Σi| < nK`), so
+//! snapshots are built only from schemes that certify it
+//! ([`BuildError::HopsNotDerivable`]).
 //!
 //! Snapshots hold tree rows only. The paper's other shippable artifacts
 //! (Theorem 26 preservers, Theorem 30 fault labels) are separate
@@ -24,12 +30,11 @@
 //! answer is byte-identical to [`rsp_core::Rpts::tree_from_with`] — the
 //! property suite in `tests/oracle_properties.rs` pins this.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
-use rsp_arith::PathCost;
+use rsp_arith::{HopDivisor, PathCost};
 use rsp_core::{ExactScheme, Rpts};
-use rsp_graph::repair::{Cell, TreeCells};
+use rsp_graph::repair::{Cell, RepairScratch, TreeCells};
 use rsp_graph::{EdgeId, FaultSet, Graph, Path, SearchScratch, SelectedTree, Vertex};
 
 use crate::churn::inject::CellCorruption;
@@ -63,6 +68,10 @@ pub enum BuildError {
         /// The graph's edge count.
         m: usize,
     },
+    /// The scheme's perturbations can add up to a whole unit edge along
+    /// some simple path ([`ExactScheme::hop_divisor`] is `None`), so a
+    /// hop count cannot be read off a stored cost.
+    HopsNotDerivable,
 }
 
 impl std::fmt::Display for BuildError {
@@ -76,6 +85,9 @@ impl std::fmt::Display for BuildError {
             }
             BuildError::GraphTooLarge { n, m } => {
                 write!(f, "graph too large for u32 snapshot ids (n = {n}, m = {m})")
+            }
+            BuildError::HopsNotDerivable => {
+                write!(f, "scheme perturbations can add up to a unit edge: hops not derivable")
             }
         }
     }
@@ -122,18 +134,19 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Flat-array sentinel: "no parent" / "unreachable" / "not a serving
-/// source" — the repair kernel's cell sentinel. Graph sizes are asserted
-/// below `u32::MAX`, so it never collides with a real vertex, edge, or
-/// hop count.
+/// Flat-array sentinel: "no parent" / "not a serving source" — the
+/// repair kernel's cell sentinel. Graph sizes are asserted below
+/// `u32::MAX`, so it never collides with a real vertex or edge.
 pub(crate) use rsp_graph::repair::NONE;
 
 /// One tree cell, borrowed where it is stored: in a row's base arrays
-/// (vertex `v` of them) or as an owned [`Cell`] (a listed cell). A field is loaded only when read, so a read that
-/// needs the parent edge touches one base array, not three.
-pub(crate) enum CellRef<'a, C> {
-    Base(&'a RowBase<C>, Vertex),
-    Owned(&'a Cell<C>),
+/// or its cell list. Reading it loads the parent edge only; the cost is
+/// a reference.
+pub(crate) struct CellRef<'a, C> {
+    pub(crate) parent_edge: u32,
+    pub(crate) cost: &'a C,
+    /// The cell has a parent edge or is its row's source.
+    pub(crate) reached: bool,
 }
 
 impl<C> Clone for CellRef<'_, C> {
@@ -144,44 +157,13 @@ impl<C> Clone for CellRef<'_, C> {
 
 impl<C> Copy for CellRef<'_, C> {}
 
-impl<'a, C: PathCost> CellRef<'a, C> {
-    #[inline]
-    pub(crate) fn parent_edge(self) -> u32 {
-        match self {
-            CellRef::Base(b, v) => b.parent_edge[v],
-            CellRef::Owned(c) => c.parent_edge,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn hops(self) -> u32 {
-        match self {
-            CellRef::Base(b, v) => b.hops[v],
-            CellRef::Owned(c) => c.hops,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn cost(self) -> &'a C {
-        match self {
-            CellRef::Base(b, v) => &b.costs[v],
-            CellRef::Owned(c) => &c.cost,
-        }
-    }
-
-    /// The hop count, or `None` when unreachable.
-    #[inline]
-    pub(crate) fn reached(self) -> Option<u32> {
-        let h = self.hops();
-        (h != NONE).then_some(h)
-    }
-
+impl<C: PathCost> CellRef<'_, C> {
     /// The parent of `v` (whose cell this is) as `(vertex, edge id)`, or
     /// `None` for the source and unreachable vertices. The vertex is the
     /// parent edge's other endpoint (graphs are simple).
     #[inline]
     fn parent(self, g: &Graph, v: Vertex) -> Option<(Vertex, EdgeId)> {
-        let e = self.parent_edge();
+        let e = self.parent_edge;
         if e == NONE {
             return None;
         }
@@ -189,23 +171,38 @@ impl<'a, C: PathCost> CellRef<'a, C> {
         Some((if a == v { b } else { a }, e as EdgeId))
     }
 
-    /// `true` iff this cell holds exactly `cell`'s values.
-    fn equals(self, cell: &Cell<C>) -> bool {
-        self.parent_edge() == cell.parent_edge
-            && self.hops() == cell.hops
-            && *self.cost() == cell.cost
+    /// The hop count, or `None` when unreachable.
+    #[inline]
+    fn hops(self, hops: &HopDivisor<C>) -> Option<u32> {
+        self.reached.then(|| hops.hops(self.cost))
     }
 
-    fn to_cell(self) -> Cell<C> {
-        Cell { parent_edge: self.parent_edge(), hops: self.hops(), cost: self.cost().clone() }
+    /// `true` iff this cell holds the repair kernel's `cell`: both
+    /// unreached, or the same parent edge and cost (the cost fixes the
+    /// hop count).
+    fn equals(self, cell: &Cell<C>) -> bool {
+        let reached = cell.hops != NONE;
+        self.reached == reached
+            && self.parent_edge == cell.parent_edge
+            && (!reached || *self.cost == cell.cost)
+    }
+
+    /// The cell as the repair kernel holds it.
+    fn to_cell(self, hops: &HopDivisor<C>) -> Cell<C> {
+        match self.hops(hops) {
+            Some(h) => Cell { parent_edge: self.parent_edge, hops: h, cost: self.cost.clone() },
+            None => Cell::unreached(),
+        }
     }
 }
 
-/// A cell of a [`CellList`]: the vertex it replaces plus its values.
+/// A cell of a [`CellList`]: the vertex it replaces plus its stored
+/// values.
 #[derive(Clone, Debug)]
 pub(crate) struct ListCell<C> {
     pub(crate) v: u32,
-    pub(crate) cell: Cell<C>,
+    parent_edge: u32,
+    cost: C,
 }
 
 /// An immutable, `Arc`-shared list of replaced cells, sorted by vertex:
@@ -244,46 +241,67 @@ impl<C: Clone> CellList<C> {
     }
 }
 
-/// The dense arrays of a tree row, struct-of-arrays: one entry per
-/// vertex.
+/// The dense arrays of a tree row, struct-of-arrays: one parent edge
+/// and one cost per vertex (an unreached vertex's cost is zero), plus
+/// the row's source.
 #[derive(Clone, Debug)]
 pub(crate) struct RowBase<C> {
+    source: Vertex,
     parent_edge: Vec<u32>,
-    hops: Vec<u32>,
     costs: Vec<C>,
 }
 
 impl<C: PathCost> RowBase<C> {
-    fn set(&mut self, v: Vertex, cell: &Cell<C>) {
-        self.parent_edge[v] = cell.parent_edge;
-        self.hops[v] = cell.hops;
-        self.costs[v].clone_from(&cell.cost);
+    fn set(&mut self, v: Vertex, parent_edge: u32, cost: &C) {
+        self.parent_edge[v] = parent_edge;
+        self.costs[v].clone_from(cost);
+    }
+
+    #[inline]
+    fn reached(&self, v: Vertex) -> bool {
+        self.parent_edge[v] != NONE || v == self.source
+    }
+
+    #[inline]
+    fn cell(&self, v: Vertex) -> CellRef<'_, C> {
+        CellRef { parent_edge: self.parent_edge[v], cost: &self.costs[v], reached: self.reached(v) }
     }
 }
 
-/// The base a delta commit's repair kernel patches over, with the row's
-/// cell list loaded into the kernel's overlay first.
-impl<C: PathCost> TreeCells<C> for RowBase<C> {
+/// A row's base read with its snapshot's hop divisor: the base a delta
+/// commit's repair kernel patches over, with the row's cell list loaded
+/// into the kernel's overlay first.
+pub(crate) struct BaseCells<'a, C> {
+    base: &'a RowBase<C>,
+    hops: &'a HopDivisor<C>,
+}
+
+impl<C: PathCost> TreeCells<C> for BaseCells<'_, C> {
+    #[inline]
+    fn reached(&self, v: Vertex) -> bool {
+        self.base.reached(v)
+    }
+
     #[inline]
     fn hops(&self, v: Vertex) -> u32 {
-        self.hops[v]
+        self.hops.hops(&self.base.costs[v])
     }
 
     #[inline]
     fn cost(&self, v: Vertex) -> &C {
-        &self.costs[v]
+        &self.base.costs[v]
     }
 
     #[inline]
     fn parent_edge(&self, v: Vertex) -> u32 {
-        self.parent_edge[v]
+        self.base.parent_edge[v]
     }
 }
 
 /// One canonical tree row: the cells of a single source's selected
 /// shortest-path tree, as a shared base plus a list of replaced cells.
 ///
-/// * The **base** is three dense arrays behind an [`Arc`], shared by
+/// * The **base** is two dense arrays behind an [`Arc`], shared by
 ///   every snapshot derived from the one that built it.
 /// * The **cell list** ([`CellList`]) holds the cells a delta commit
 ///   ([`crate::delta`]) recomputed since, sorted by vertex. A commit
@@ -312,10 +330,8 @@ impl<C: PathCost> TreeRow<C> {
         let n = g.n();
         let mut costs = Vec::new();
         costs.resize_with(n, C::zero);
-        let mut base = RowBase { parent_edge: vec![NONE; n], hops: vec![NONE; n], costs };
+        let mut base = RowBase { source: run.source(), parent_edge: vec![NONE; n], costs };
         for v in g.vertices() {
-            let Some(h) = run.hops(v) else { continue };
-            base.hops[v] = h;
             if let Some(c) = run.cost(v) {
                 base.costs[v].clone_from(c);
             }
@@ -342,9 +358,16 @@ impl<C: PathCost> TreeRow<C> {
             return None;
         }
         Some(match self.list.find(v) {
-            Some(i) => CellRef::Owned(&self.list.cells()[i].cell),
-            None => CellRef::Base(&self.base, v),
+            Some(i) => self.listed(&self.list.cells()[i]),
+            None => self.base.cell(v),
         })
+    }
+
+    /// A cell of this row's list, read like a base cell.
+    #[inline]
+    fn listed<'a>(&self, c: &'a ListCell<C>) -> CellRef<'a, C> {
+        let reached = c.parent_edge != NONE || c.v as Vertex == self.base.source;
+        CellRef { parent_edge: c.parent_edge, cost: &c.cost, reached }
     }
 
     /// `v`'s parent as `(vertex, edge id)`, or `None` for the source,
@@ -360,10 +383,20 @@ impl<C: PathCost> TreeRow<C> {
         self.list.cells()
     }
 
-    /// The row's base, whatever the list says: for a delta commit that
-    /// loads the list into its repair kernel itself.
-    pub(crate) fn base(&self) -> &RowBase<C> {
-        &self.base
+    /// Loads the row into `kernel` for a delta commit's patch: the cell
+    /// list into the kernel's overlay, after an empty
+    /// [`RepairScratch::begin`]. Returns the base to patch over, read
+    /// with `hops`.
+    pub(crate) fn load<'a>(
+        &'a self,
+        kernel: &mut RepairScratch<C>,
+        hops: &'a HopDivisor<C>,
+    ) -> BaseCells<'a, C> {
+        kernel.begin(self.n());
+        for c in self.list.cells() {
+            kernel.set(c.v as Vertex, self.listed(c).to_cell(hops));
+        }
+        BaseCells { base: &self.base, hops }
     }
 
     /// Replaces the cell list with `cells` (sorted by vertex, distinct),
@@ -378,8 +411,8 @@ impl<C: PathCost> TreeRow<C> {
     {
         buf.clear();
         for (v, cell) in cells {
-            if !CellRef::Base(&self.base, v as Vertex).equals(cell) {
-                buf.push(ListCell { v, cell: cell.clone() });
+            if !self.base.cell(v as Vertex).equals(cell) {
+                buf.push(ListCell { v, parent_edge: cell.parent_edge, cost: cell.cost.clone() });
             }
         }
         self.list = CellList::from_slice(buf);
@@ -390,7 +423,7 @@ impl<C: PathCost> TreeRow<C> {
     pub(crate) fn materialize(&mut self) {
         let mut base = RowBase::clone(&self.base);
         for c in self.list.cells() {
-            base.set(c.v as Vertex, &c.cell);
+            base.set(c.v as Vertex, c.parent_edge, &c.cost);
         }
         *self = TreeRow { base: Arc::new(base), list: CellList::EMPTY };
     }
@@ -398,14 +431,14 @@ impl<C: PathCost> TreeRow<C> {
     /// Overwrites `v`'s cell where it is stored: in the list if the list
     /// replaces `v` (a fresh list), else in the base (a fresh base).
     /// The fault-injection seam behind [`OracleSnapshot::corrupt_cell`].
-    fn overwrite(&mut self, v: Vertex, cell: Cell<C>) {
+    fn overwrite(&mut self, v: Vertex, parent_edge: u32, cost: C) {
         match self.list.find(v) {
             Some(i) => {
                 let mut cells = self.list.cells().to_vec();
-                cells[i].cell = cell;
+                cells[i] = ListCell { v: v as u32, parent_edge, cost };
                 self.list = CellList::from_slice(&cells);
             }
-            None => Arc::make_mut(&mut self.base).set(v, &cell),
+            None => Arc::make_mut(&mut self.base).set(v, parent_edge, &cost),
         }
     }
 
@@ -448,6 +481,8 @@ impl<C: PathCost> TreeRow<C> {
 #[derive(Clone, Debug)]
 pub struct OracleSnapshot<C> {
     scheme: ExactScheme<C>,
+    /// The scheme's certified divisor: every stored cell's hop count.
+    hops: HopDivisor<C>,
     version: u64,
     /// Faults baked into every canonical tree: the snapshot serves the
     /// subgraph `G \ base_faults` (the churn pipeline's current fault
@@ -550,8 +585,9 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
     ///
     /// # Panics
     ///
-    /// Panics if a serving source or base fault edge is out of range or
-    /// the graph has `u32::MAX` or more vertices/edges. Control planes
+    /// Panics if a serving source or base fault edge is out of range,
+    /// the graph has `u32::MAX` or more vertices/edges, or the scheme's
+    /// hop bound is not certified. Control planes
     /// fed untrusted configuration should use
     /// [`SnapshotBuilder::try_build`] instead.
     pub fn build(self) -> OracleSnapshot<C> {
@@ -560,7 +596,10 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
 
     /// The fallible twin of [`SnapshotBuilder::build`]: validates the
     /// configuration against the graph and returns a [`BuildError`]
-    /// instead of panicking.
+    /// instead of panicking. A scheme without a certified hop bound
+    /// ([`ExactScheme::hop_divisor`]) is refused with
+    /// [`BuildError::HopsNotDerivable`]: a snapshot stores costs, not
+    /// hop counts.
     ///
     /// # Examples
     ///
@@ -584,6 +623,7 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
         if let Some(edge) = self.base_faults.iter().find(|&e| e >= g.m()) {
             return Err(BuildError::BaseFaultOutOfRange { edge, m: g.m() });
         }
+        let hops = scheme.hop_divisor().ok_or(BuildError::HopsNotDerivable)?.clone();
 
         let requested: Vec<Vertex> = self.sources.unwrap_or_else(|| g.vertices().collect());
         let mut source_row = vec![NONE; n];
@@ -607,6 +647,7 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
 
         Ok(OracleSnapshot {
             scheme,
+            hops,
             version: self.version,
             base_faults: self.base_faults,
             sources,
@@ -633,6 +674,12 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// The compiled tiebreaking scheme the snapshot serves.
     pub fn scheme(&self) -> &ExactScheme<C> {
         &self.scheme
+    }
+
+    /// The scheme's certified hop divisor, which reads every stored
+    /// cell's hop count off its cost.
+    pub(crate) fn hop_divisor(&self) -> &HopDivisor<C> {
+        &self.hops
     }
 
     /// The application-chosen version tag (see
@@ -686,7 +733,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     fn faults_touch_row(&self, row: usize, faults: &FaultSet) -> bool {
         let g = self.scheme.graph();
         let r = &self.rows[row];
-        let parent_edge_is = |v, e| r.cell(v).is_some_and(|c| c.parent_edge() == e as u32);
+        let parent_edge_is = |v, e| r.cell(v).is_some_and(|c| c.parent_edge == e as u32);
         faults.iter().any(|e| {
             e < g.m() && {
                 let (u, v) = g.endpoints(e);
@@ -770,9 +817,10 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// changes no selected shortest path (the unique minimum-cost paths
     /// survive and nothing cheaper appears). **Engine path** otherwise:
     /// an exact search in `G* \ (base ∪ F)` inside `scratch`,
-    /// allocation-free once the scratch is warm (snapshots with
-    /// non-empty [`OracleSnapshot::base_faults`] allocate one temporary
-    /// union set on this path). Both paths return answers
+    /// allocation-free once the scratch is warm, except that a snapshot
+    /// with non-empty [`OracleSnapshot::base_faults`] builds `base ∪ F`
+    /// in a fresh set here; an [`crate::OracleReader`] builds it in a
+    /// buffer it owns and allocates nothing. Both paths return answers
     /// byte-identical to [`rsp_core::Rpts::tree_from_with`].
     ///
     /// # Panics
@@ -814,7 +862,8 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// The fallible twin of [`OracleSnapshot::query`]: a malformed
     /// query — out-of-range source, out-of-range edge id in the fault
     /// list — returns a [`QueryError`] instead of panicking, so one bad
-    /// wire frame cannot take down a serving thread.
+    /// wire frame cannot take down a serving thread. Allocates as
+    /// [`OracleSnapshot::query`] does.
     ///
     /// # Examples
     ///
@@ -840,6 +889,19 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
         faults: &FaultSet,
         scratch: &'q mut SearchScratch<C>,
     ) -> Result<TreeView<'q, C>, QueryError> {
+        self.try_query_in(s, faults, &mut FaultSet::empty(), scratch)
+    }
+
+    /// [`OracleSnapshot::try_query`] with the engine path's `base ∪ F`
+    /// built in `union` (overwritten), so a caller that keeps the buffer
+    /// (an [`crate::OracleReader`]) allocates nothing once it is warm.
+    pub(crate) fn try_query_in<'q>(
+        &'q self,
+        s: Vertex,
+        faults: &FaultSet,
+        union: &mut FaultSet,
+        scratch: &'q mut SearchScratch<C>,
+    ) -> Result<TreeView<'q, C>, QueryError> {
         let g = self.scheme.graph();
         if s >= g.n() {
             return Err(QueryError::SourceOutOfRange { source: s, n: g.n() });
@@ -852,42 +914,14 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
                 return Ok(TreeView { inner: ViewInner::Baseline { snap: self, row, source: s } });
             }
         }
-        let effective = self.effective_faults(faults);
-        rsp_graph::dijkstra_into(g, s, &effective, self.scheme.directed_costs(), scratch);
-        Ok(TreeView { inner: ViewInner::Searched { scratch } })
-    }
-
-    /// [`OracleSnapshot::try_query`] from a **raw wire edge-id list**:
-    /// normalizes (sorts, deduplicates) the ids into `faults_buf` via
-    /// [`FaultSet::set_from`], then validates and answers. The reusable
-    /// buffer keeps the path allocation-free once warm; see
-    /// [`crate::OracleReader::try_query_edges`] for the per-thread
-    /// serving wrapper that owns one.
-    pub fn try_query_edges<'q>(
-        &'q self,
-        s: Vertex,
-        edges: &[EdgeId],
-        faults_buf: &mut FaultSet,
-        scratch: &'q mut SearchScratch<C>,
-    ) -> Result<TreeView<'q, C>, QueryError> {
-        faults_buf.set_from(edges.iter().copied());
-        // `faults_buf` is only read (never stored) by the query; reborrow
-        // immutably so the returned view can borrow `scratch` alone.
-        self.try_query(s, &*faults_buf, scratch)
-    }
-
-    /// The faults the engine path must honor: the per-query set alone,
-    /// or its union with the baked-in base faults.
-    fn effective_faults<'f>(&self, faults: &'f FaultSet) -> Cow<'f, FaultSet> {
-        if self.base_faults.is_empty() {
-            Cow::Borrowed(faults)
+        let effective = if self.base_faults.is_empty() {
+            faults
         } else {
-            let mut all = self.base_faults.clone();
-            for e in faults.iter() {
-                all.insert(e);
-            }
-            Cow::Owned(all)
-        }
+            union.set_from(self.base_faults.iter().chain(faults.iter()));
+            union
+        };
+        rsp_graph::dijkstra_into(g, s, effective, self.scheme.directed_costs(), scratch);
+        Ok(TreeView { inner: ViewInner::Searched { scratch } })
     }
 
     /// Fault-injection seam: deliberately flips one cell of a reachable
@@ -905,22 +939,24 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     pub(crate) fn corrupt_cell(&mut self, s: Vertex, kind: CellCorruption) -> Option<Vertex> {
         let i = self.row_of(s)?;
         let row = &mut self.rows[i];
-        let corruptible = |v: Vertex| v != s && row.cell(v).is_some_and(|c| c.reached().is_some());
+        let corruptible = |v: Vertex| v != s && row.cell(v).is_some_and(|c| c.reached);
         let victim = (row.list().iter().map(|c| c.v as Vertex).find(|&v| corruptible(v)))
             .or_else(|| (0..row.n()).find(|&v| corruptible(v)))?;
-        let mut cell = row.cell(victim).expect("victim is in range").to_cell();
+        let cell = row.cell(victim).expect("victim is in range");
+        let (mut parent_edge, mut cost) = (cell.parent_edge, cell.cost.clone());
         match kind {
-            CellCorruption::Hop => cell.hops += 1,
-            CellCorruption::Parent => cell.parent_edge = NONE,
-            CellCorruption::Cost => cell.cost.set_zero(),
+            CellCorruption::Hop => cost = cost.plus(self.hops.unit()),
+            CellCorruption::Parent => parent_edge = NONE,
+            CellCorruption::Cost => cost.set_zero(),
         }
-        row.overwrite(victim, cell);
+        row.overwrite(victim, parent_edge, cost);
         Some(victim)
     }
 
     /// The one row audit behind the churn commit gate and the scrubber:
-    /// compares each target's row cell by cell (hops, parents, exact
-    /// costs) against a fresh [`ExactScheme::spt_into`] run on the
+    /// compares each target's row cell by cell (reachability, parents,
+    /// exact costs, which fix the hop counts) against a fresh
+    /// [`ExactScheme::spt_into`] run on the
     /// snapshot's own base faults — the engine the build uses — and
     /// returns every corrupt row, in target order. Non-serving targets
     /// are skipped before any search. A truth row is built only for a
@@ -935,9 +971,8 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
             self.scheme.spt_into(source, &self.base_faults, &mut run);
             let first_bad = g.vertices().find(|&v| {
                 let c = row.cell(v).expect("a row covers every vertex");
-                let hops = c.reached();
-                let cost = hops.is_some().then(|| c.cost());
-                hops != run.hops(v) || c.parent(g, v) != run.parent(v) || cost != run.cost(v)
+                let cost = c.reached.then_some(c.cost);
+                cost != run.cost(v) || c.parent(g, v) != run.parent(v)
             });
             if let Some(first_bad) = first_bad {
                 let truth = TreeRow::from_search(g, &run);
@@ -997,7 +1032,7 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     pub fn reached(&self, t: Vertex) -> bool {
         match &self.inner {
             ViewInner::Baseline { snap, row, .. } => {
-                snap.rows[*row].cell(t).is_some_and(|c| c.reached().is_some())
+                snap.rows[*row].cell(t).is_some_and(|c| c.reached)
             }
             ViewInner::Searched { scratch } => scratch.reached(t),
         }
@@ -1005,11 +1040,12 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
 
     /// Hop count (= unweighted distance `dist_{G\F}(s, t)`, since
     /// selected paths are shortest) of the selected path to `t`, or
-    /// `None` if unreachable.
+    /// `None` if unreachable. A baseline answer derives it from the
+    /// stored cost with the snapshot's precomputed divisor.
     #[inline]
     pub fn dist(&self, t: Vertex) -> Option<u32> {
         match &self.inner {
-            ViewInner::Baseline { snap, row, .. } => snap.rows[*row].cell(t)?.reached(),
+            ViewInner::Baseline { snap, row, .. } => snap.rows[*row].cell(t)?.hops(&snap.hops),
             ViewInner::Searched { scratch } => scratch.hops(t),
         }
     }
@@ -1020,7 +1056,7 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     pub fn cost(&self, t: Vertex) -> Option<&C> {
         match &self.inner {
             ViewInner::Baseline { snap, row, .. } => {
-                snap.rows[*row].cell(t).filter(|c| c.reached().is_some()).map(CellRef::cost)
+                snap.rows[*row].cell(t).filter(|c| c.reached).map(|c| c.cost)
             }
             ViewInner::Searched { scratch } => scratch.cost(t),
         }

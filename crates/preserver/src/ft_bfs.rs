@@ -181,6 +181,21 @@ impl OverlayWorker {
     }
 }
 
+/// Reads the selected tree `π(s, · | faults)` where the scheme's search
+/// left it ([`Rpts::for_each_tree`]), without an owned copy.
+fn visit_tree<S: Rpts + ?Sized>(
+    scheme: &S,
+    s: Vertex,
+    faults: &FaultSet,
+    scratch: &mut RptsScratch,
+    mut read: impl FnMut(&dyn SelectedTree),
+) {
+    scheme.for_each_tree(&[s], std::slice::from_ref(faults), scratch, &mut |_, _, tree| {
+        read(tree);
+        ControlFlow::Continue(())
+    });
+}
+
 /// The shared frontier engine: expands every seed `(s, F)` — and, below
 /// depth `f`, every `(s, F ∪ {e})` for tree edges `e` of the selected
 /// tree, deduplicated through `visited` — across `workers` work-stealing
@@ -211,20 +226,22 @@ fn overlay_frontier<S: Rpts + Sync>(
         workers,
         |_| OverlayWorker::new(scheme),
         |worker, (s, faults), push| {
-            let tree = scheme.tree_from_with(s, &faults, &mut worker.scratch);
             worker.trees += 1;
             let expand = faults.len() < f;
-            for e in tree.tree_edges() {
-                worker.edges.insert(e);
-                if expand {
-                    let child = faults.with(e);
-                    if visited.insert((s, child.clone())) {
-                        push((s, child));
-                    } else {
-                        worker.duplicates += 1;
+            let OverlayWorker { scratch, edges, duplicates, .. } = worker;
+            visit_tree(scheme, s, &faults, scratch, |tree| {
+                for e in tree.tree_edges() {
+                    edges.insert(e);
+                    if expand {
+                        let child = faults.with(e);
+                        if visited.insert((s, child.clone())) {
+                            push((s, child));
+                        } else {
+                            *duplicates += 1;
+                        }
                     }
                 }
-            }
+            });
         },
         |worker| (worker.edges, worker.trees, worker.duplicates),
     );
@@ -280,9 +297,8 @@ pub fn overlay_paths_par<S: Rpts + Sync>(
             // A fixed query list — an overlay counts every query's tree
             // (duplicates included, matching `overlay_paths`), so there
             // is no dedup and the frontier never grows.
-            worker
-                .edges
-                .extend(scheme.tree_from_with(s, &faults, &mut worker.scratch).tree_edges());
+            let OverlayWorker { scratch, edges, .. } = worker;
+            visit_tree(scheme, s, &faults, scratch, |tree| edges.extend(tree.tree_edges()));
             worker.trees += 1;
         },
         |worker| (worker.edges, worker.trees),
@@ -326,15 +342,15 @@ pub fn ft_bfs_structure_with<S: Rpts>(
         if !visited.insert(faults.clone()) {
             continue;
         }
-        let tree = scheme.tree_from_with(s, &faults, scratch);
         trees += 1;
-        let tree_edges: Vec<EdgeId> = tree.tree_edges().collect();
-        edges.extend(tree_edges.iter().copied());
-        if faults.len() < f {
-            for &e in &tree_edges {
-                stack.push(faults.with(e));
+        visit_tree(scheme, s, &faults, scratch, |tree| {
+            for e in tree.tree_edges() {
+                edges.insert(e);
+                if faults.len() < f {
+                    stack.push(faults.with(e));
+                }
             }
-        }
+        });
     }
     Preserver::new(scheme.graph().n(), edges, trees)
 }
