@@ -101,33 +101,50 @@ impl<C: PathCost> HopDivisor<C> {
     /// weights: `⌊(cost + L) / unit⌋`.
     ///
     /// A cost no simple path has (a damaged store) still answers, with
-    /// some count below `u32::MAX`, and never panics unless `cost + L`
-    /// overflows `C`.
+    /// some count below `u32::MAX`, and never panics: the sum `cost + L`,
+    /// which can overflow `C` near its maximum, is never formed. With
+    /// `cost = q·unit + r`, the count is `q`, plus one iff
+    /// `r + L ≥ unit`; `r + L < 2·unit` fits because
+    /// [`HopDivisor::certify`] proved `n·unit` fits (and `L = 0` when
+    /// `n = 1`).
     #[inline]
     pub fn hops(&self, cost: &C) -> u32 {
-        let x = cost.plus(&self.lower);
+        match self.div_rem(cost) {
+            Some((q, r)) => clamp(q.saturating_add(u64::from(r.plus(&self.lower) >= self.unit))),
+            None => u32::MAX - 1,
+        }
+    }
+
+    /// `(⌊x / unit⌋, x mod unit)`, or `None` when the quotient is at least
+    /// `u32::MAX`.
+    #[inline]
+    fn div_rem(&self, x: &C) -> Option<(u64, C)> {
         // Within one of the quotient while both f64s are finite.
         let q = (x.to_f64() * self.recip) as u64;
         if let Some(p) = self.unit.checked_times(q) {
-            if p <= x {
+            if p <= *x {
                 let r = x.minus(&p);
                 if r < self.unit {
-                    return clamp(q);
+                    return Some((q, r));
                 }
-                if r.minus(&self.unit) < self.unit {
-                    return clamp(q + 1);
+                let r = r.minus(&self.unit);
+                if r < self.unit {
+                    return Some((q.saturating_add(1), r));
                 }
-            } else if q > 0 && p.minus(&self.unit) <= x {
-                return clamp(q - 1);
+            } else if q > 0 {
+                let p = p.minus(&self.unit);
+                if p <= *x {
+                    return Some((q - 1, x.minus(&p)));
+                }
             }
         }
-        self.search(&x)
+        self.search(x)
     }
 
-    /// The largest `q < u32::MAX` with `q·unit ≤ x`, by bisection: the
+    /// [`HopDivisor::div_rem`] by bisection over `q < u32::MAX`: the
     /// fallback for an estimate that missed (a cost past `f64`'s range).
     #[cold]
-    fn search(&self, x: &C) -> u32 {
+    fn search(&self, x: &C) -> Option<(u64, C)> {
         let fits = |q: u64| self.unit.checked_times(q).is_some_and(|p| p <= *x);
         let (mut lo, mut hi) = (0u64, u64::from(u32::MAX));
         while hi - lo > 1 {
@@ -138,7 +155,8 @@ impl<C: PathCost> HopDivisor<C> {
                 hi = mid;
             }
         }
-        lo as u32
+        let r = x.minus(&self.unit.checked_times(lo)?);
+        (r < self.unit).then_some((lo, r))
     }
 }
 
@@ -216,6 +234,42 @@ mod tests {
         let unit = BigInt::pow2(64) * 8;
         let d = HopDivisor::certify(4, &unit, [&unit]).unwrap();
         check_window(&d, 4, &BigInt::zero());
+    }
+
+    /// Every cost from `MAX − L − unit` to the type's maximum answers
+    /// without a panic, and hop counts never decrease.
+    fn check_top<C: PathCost + From<u8>>(d: &HopDivisor<C>, max: C) {
+        let span = d.lower().plus(d.unit());
+        let mut cost = max.minus(&span);
+        let mut prev = d.hops(&cost);
+        while cost < max {
+            cost = cost.plus(&C::from(1));
+            let h = d.hops(&cost);
+            assert!(h >= prev, "hops fell from {prev} to {h}");
+            prev = h;
+        }
+        assert_eq!(prev, d.hops(&max));
+    }
+
+    #[test]
+    fn hops_never_panic_near_the_type_maximum() {
+        let d = HopDivisor::certify(10, &1000u32, &[990, 1005]).unwrap();
+        check_top(&d, u32::MAX);
+        // Exact below the clamp (L = 90): u32::MAX = 4_294_967·1000 + 295.
+        assert_eq!(d.hops(&u32::MAX), 4_294_967);
+        assert_eq!(d.hops(&4_294_966_909), 4_294_966);
+        assert_eq!(d.hops(&4_294_966_910), 4_294_967);
+        let d = HopDivisor::certify(10, &1000u64, &[990, 1005]).unwrap();
+        check_top(&d, u64::MAX);
+        assert_eq!(d.hops(&u64::MAX), u32::MAX - 1);
+        let d = HopDivisor::certify(10, &1000u128, &[990, 1005]).unwrap();
+        check_top(&d, u128::MAX);
+        // A unit past `u64` keeps the quotient below `u32::MAX`, so the
+        // count is exact: MAX = (2^28 − 1)·unit + (unit − 1), plus L ≥ unit.
+        let unit = 1u128 << 100;
+        let d = HopDivisor::certify(10, &unit, &[unit - 7, unit + 3]).unwrap();
+        assert_eq!(d.hops(&u128::MAX), 1 << 28);
+        assert_eq!(d.hops(&(u128::MAX - 63)), (1 << 28) - 1);
     }
 
     #[test]

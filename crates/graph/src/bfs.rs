@@ -71,12 +71,12 @@ impl SelectedTree for BfsTree {
 
     #[inline]
     fn dist(&self, v: Vertex) -> Option<u32> {
-        self.dist[v]
+        self.dist.get(v).copied().flatten()
     }
 
     #[inline]
     fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
-        self.parent[v]
+        self.parent.get(v).copied().flatten()
     }
 }
 

@@ -233,23 +233,6 @@ impl Graph {
             .map(|(&v, &e)| (v as usize, e as usize))
     }
 
-    /// The raw `u32` CSR adjacency slices of `u`: `(targets, edge ids)`,
-    /// parallel, sorted by target.
-    ///
-    /// This is the zero-conversion view for consumers that already work in
-    /// stored-width ids (the oracle snapshot's flat `u32` rows); everything
-    /// else should use [`Graph::neighbors`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= self.n()`.
-    #[inline]
-    pub fn neighbors_raw(&self, u: Vertex) -> (&[u32], &[u32]) {
-        let lo = self.offsets[u] as usize;
-        let hi = self.offsets[u + 1] as usize;
-        (&self.targets[lo..hi], &self.incident[lo..hi])
-    }
-
     /// Looks up the edge between `u` and `v`, if present.
     ///
     /// Runs in `O(log deg(u))`.
@@ -336,21 +319,6 @@ mod tests {
         let g = Graph::from_edges(5, [(2, 4), (2, 0), (2, 3), (2, 1)]).unwrap();
         let nbrs: Vec<_> = g.neighbors(2).map(|(v, _)| v).collect();
         assert_eq!(nbrs, vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn neighbors_raw_matches_neighbors() {
-        let g = Graph::from_edges(5, [(2, 4), (2, 0), (2, 3), (0, 1)]).unwrap();
-        for u in g.vertices() {
-            let (targets, incident) = g.neighbors_raw(u);
-            let pairs: Vec<(Vertex, EdgeId)> = targets
-                .iter()
-                .zip(incident.iter())
-                .map(|(&v, &e)| (v as usize, e as usize))
-                .collect();
-            let api: Vec<(Vertex, EdgeId)> = g.neighbors(u).collect();
-            assert_eq!(pairs, api, "vertex {u}");
-        }
     }
 
     #[test]

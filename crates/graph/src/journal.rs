@@ -47,7 +47,7 @@
 //! assert!(matches!(decoded.tail, JournalTail::Torn { .. }));
 //! ```
 
-use crate::event::{FaultEvent, FaultState, WireEventError, WIRE_EVENT_LEN};
+use crate::event::{FaultEvent, FaultState, WireEventError};
 use crate::fault::FaultSet;
 use crate::graph::EdgeId;
 
@@ -440,41 +440,10 @@ fn decode_checkpoint(body: &[u8]) -> Result<JournalCheckpoint, CheckpointDecodeE
     Ok(JournalCheckpoint { seq, epoch, state })
 }
 
-/// Convenience: encodes `events` as a pure event-frame stream (no
-/// checkpoint) — the genesis-journal byte form.
-///
-/// # Examples
-///
-/// ```
-/// use rsp_graph::journal::{decode_journal, encode_events, JournalFrame, JournalTail};
-/// use rsp_graph::FaultEvent;
-///
-/// let events = [FaultEvent::Arrive(2), FaultEvent::Repair(2)];
-/// let bytes = encode_events(&events);
-/// let decoded = decode_journal(&bytes).unwrap();
-/// assert_eq!(decoded.tail, JournalTail::Clean);
-/// let roundtrip: Vec<_> = decoded
-///     .frames
-///     .into_iter()
-///     .map(|f| match f {
-///         JournalFrame::Event(ev) => ev,
-///         JournalFrame::Checkpoint(_) => unreachable!(),
-///     })
-///     .collect();
-/// assert_eq!(roundtrip, events);
-/// ```
-pub fn encode_events(events: &[FaultEvent]) -> Vec<u8> {
-    // len(4) + kind(1) + wire event + crc(4) per frame.
-    let mut out = Vec::with_capacity(events.len() * (9 + WIRE_EVENT_LEN));
-    for &ev in events {
-        JournalFrame::Event(ev).encode_into(&mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::WIRE_EVENT_LEN;
 
     fn sample_checkpoint() -> JournalCheckpoint {
         JournalCheckpoint {

@@ -44,8 +44,11 @@
 //! * [`SelectedTree`] — the one read surface of a selected tree (the
 //!   bounded path walk, the tree edges, the reachable count, the one
 //!   owned copy), implemented by the owned [`BfsTree`], a finished
-//!   [`SearchScratch`] and a sweep's [`SweepView`], so a tree is read
-//!   where the search left it;
+//!   [`SearchScratch`], the repair kernel's view
+//!   ([`repair::RepairView`]; a sweep's [`SweepView`] is that view over a
+//!   search) and `rsp_oracle`'s `TreeView`, so a tree is read where it
+//!   is stored; [`repair::decode_parent`] is the one decoder of a stored
+//!   parent edge;
 //! * [`SubtreeScratch`] / [`tree_edge_child`] — cut/subtree helpers
 //!   over parent-pointer trees: which endpoint of a failed edge is the
 //!   child, and the detached subtree below it in work proportional to

@@ -112,11 +112,6 @@ impl Path {
         faults.iter().all(|e| !self.uses_edge(g, e))
     }
 
-    /// Returns `true` iff the path contains vertex `v`.
-    pub fn contains_vertex(&self, v: Vertex) -> bool {
-        self.verts.contains(&v)
-    }
-
     /// Concatenates `self` (ending at `x`) with the reverse of `other`
     /// (which must also end at `x`), producing a `self.source() ⇝
     /// other.source()` walk through the shared endpoint `x`.
@@ -156,11 +151,6 @@ impl Path {
     pub fn subpath(&self, i: usize, j: usize) -> Path {
         assert!(i <= j && j < self.verts.len(), "invalid subpath range {i}..={j}");
         Path { verts: self.verts[i..=j].to_vec() }
-    }
-
-    /// Returns the position of vertex `v` in the path, if present.
-    pub fn position_of(&self, v: Vertex) -> Option<usize> {
-        self.verts.iter().position(|&u| u == v)
     }
 }
 
@@ -252,8 +242,7 @@ mod tests {
     fn subpath_and_position() {
         let p = Path::new(vec![5, 6, 7, 8]);
         assert_eq!(p.subpath(1, 2).vertices(), &[6, 7]);
-        assert_eq!(p.position_of(7), Some(2));
-        assert_eq!(p.position_of(9), None);
+        assert_eq!(p.subpath(3, 3).vertices(), &[8]);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! the overlay cell or the base's. The base is any [`TreeCells`] — a
 //! finished [`SearchScratch`] (the offline sweep, [`crate::dijkstra_sweep`])
 //! or a stored tree row (`rsp_oracle`'s delta commits, which load the
-//! row's replaced cells with [`RepairScratch::set`] first).
+//! row's replaced cells with [`RepairScratch::set`] first). The patched
+//! tree is read through one borrowed view, [`RepairScratch::over`], and
+//! every stored parent edge is decoded by [`decode_parent`].
 //!
 //! # Examples
 //!
@@ -46,9 +48,10 @@
 //!
 //! let mut fresh = SearchScratch::new();
 //! dijkstra_into(&g, 0, &faults, cost, &mut fresh);
+//! let tree = kernel.over(&g, &base);
 //! for v in g.vertices() {
-//!     assert_eq!(kernel.parent(&g, &base, v), fresh.parent(v));
-//!     assert_eq!(kernel.cost(&base, v), fresh.cost(v));
+//!     assert_eq!(tree.parent(v), fresh.parent(v));
+//!     assert_eq!(tree.cost(v), fresh.cost(v));
 //! }
 //! ```
 
@@ -66,6 +69,41 @@ use crate::tree::{tree_edge_child, SelectedTree, SubtreeScratch};
 /// "unreachable" (hop count). Graph sizes stay below `u32::MAX`, so it
 /// never collides with a real edge id or hop count.
 pub const NONE: u32 = u32::MAX;
+
+/// Decodes `v`'s stored parent edge `e` as `(parent vertex, edge id)`:
+/// the parent is the edge's other endpoint (graphs are simple). The one
+/// decoder of stored parent edges.
+///
+/// Answers `None` for [`NONE`] (the root, unreachable vertices) and for
+/// an edge no tree can hold: an id past `g.m()` or an edge `v` is not an
+/// endpoint of, which only a damaged store holds. It never panics.
+///
+/// # Examples
+///
+/// ```
+/// use rsp_graph::generators;
+/// use rsp_graph::repair::{decode_parent, NONE};
+///
+/// let g = generators::path_graph(3); // 0 -e0- 1 -e1- 2
+/// assert_eq!(decode_parent(&g, 2, 1), Some((1, 1)));
+/// assert_eq!(decode_parent(&g, 1, 1), Some((2, 1)));
+/// assert_eq!(decode_parent(&g, 0, NONE), None);
+/// assert_eq!(decode_parent(&g, 0, 1), None); // not incident to 0
+/// assert_eq!(decode_parent(&g, 0, 7), None); // no edge 7
+/// ```
+#[inline]
+pub fn decode_parent(g: &Graph, v: Vertex, e: u32) -> Option<(Vertex, EdgeId)> {
+    // `NONE` exceeds every edge id (`MAX_EDGES < u32::MAX`).
+    let e = e as EdgeId;
+    if e >= g.m() {
+        return None;
+    }
+    match g.endpoints(e) {
+        (a, b) if a == v => Some((b, e)),
+        (a, b) if b == v => Some((a, e)),
+        _ => None,
+    }
+}
 
 /// One tree cell, owned: parent edge, hop count and exact cost. The
 /// parent vertex is the parent edge's other endpoint.
@@ -126,6 +164,45 @@ impl<C: PathCost> TreeCells<C> for SearchScratch<C> {
     }
 }
 
+/// The kernel's patched tree, borrowed ([`RepairScratch::over`]): the
+/// cells written since [`RepairScratch::begin`] over the base's.
+/// Vertices out of range read as unreachable. A sweep's answer
+/// ([`crate::SweepView`]) is this view over a finished search.
+#[derive(Debug)]
+pub struct RepairView<'a, C, B> {
+    pub(crate) g: &'a Graph,
+    pub(crate) base: &'a B,
+    pub(crate) kernel: &'a RepairScratch<C>,
+}
+
+impl<'a, C: PathCost, B: TreeCells<C>> RepairView<'a, C, B> {
+    #[inline]
+    fn reached(&self, v: Vertex) -> bool {
+        v < self.g.n() && self.kernel.overlay.reached(self.base, v)
+    }
+
+    /// Exact cost of the selected root-to-`v` path, or `None` if `v` is
+    /// unreachable.
+    #[inline]
+    pub fn cost(&self, v: Vertex) -> Option<&'a C> {
+        self.reached(v).then(|| self.kernel.overlay.cost(self.base, v))
+    }
+
+    /// Hop count of the selected root-to-`v` path, or `None` if `v` is
+    /// unreachable.
+    #[inline]
+    pub fn hops(&self, v: Vertex) -> Option<u32> {
+        self.reached(v).then(|| self.kernel.overlay.hops(self.base, v))
+    }
+
+    /// `v`'s parent as `(vertex, edge id)`, or `None` for the root and
+    /// unreachable vertices.
+    #[inline]
+    pub fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
+        (v < self.g.n()).then(|| self.kernel.overlay.parent(self.g, self.base, v)).flatten()
+    }
+}
+
 /// The kernel refused a step: an equal-cost candidate surfaced, so the
 /// selected tree is not forced there. Search instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,12 +244,7 @@ impl<C: PathCost> Overlay<C> {
 
     #[inline]
     fn parent(&self, g: &Graph, base: &impl TreeCells<C>, v: Vertex) -> Option<(Vertex, EdgeId)> {
-        let e = self.stamped(v).map_or_else(|| base.parent_edge(v), |c| c.parent_edge);
-        if e == NONE {
-            return None;
-        }
-        let (a, b) = g.endpoints(e as EdgeId);
-        Some((if a == v { b } else { a }, e as EdgeId))
+        decode_parent(g, v, self.stamped(v).map_or_else(|| base.parent_edge(v), |c| c.parent_edge))
     }
 
     fn set(&mut self, v: Vertex, cell: Cell<C>) {
@@ -241,28 +313,12 @@ impl<C: PathCost> RepairScratch<C> {
         self.overlay.set(v, cell);
     }
 
-    /// `v`'s hop count over `base`, or `None` when unreachable.
-    #[inline]
-    pub fn hops(&self, base: &impl TreeCells<C>, v: Vertex) -> Option<u32> {
-        self.overlay.reached(base, v).then(|| self.overlay.hops(base, v))
-    }
-
-    /// `v`'s exact cost over `base`, or `None` when unreachable.
-    #[inline]
-    pub fn cost<'a, B: TreeCells<C>>(&'a self, base: &'a B, v: Vertex) -> Option<&'a C> {
-        self.overlay.reached(base, v).then(|| self.overlay.cost(base, v))
-    }
-
-    /// `v`'s parent over `base` as `(vertex, edge id)`, or `None` for the
-    /// root and unreachable vertices.
-    #[inline]
-    pub fn parent(
-        &self,
-        g: &Graph,
-        base: &impl TreeCells<C>,
-        v: Vertex,
-    ) -> Option<(Vertex, EdgeId)> {
-        self.overlay.parent(g, base, v)
+    /// The patched tree: the overlay over `base`, a tree of `g`, read
+    /// through one borrowed view. Call it after
+    /// [`RepairScratch::begin`] for at least `g.n()` vertices, with the
+    /// base the steps since then patched.
+    pub fn over<'a, B: TreeCells<C>>(&'a self, g: &'a Graph, base: &'a B) -> RepairView<'a, C, B> {
+        RepairView { g, base, kernel: self }
     }
 
     /// The cells written since [`RepairScratch::begin`] (loaded, cleared

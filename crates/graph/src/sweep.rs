@@ -41,7 +41,7 @@ use rsp_arith::PathCost;
 
 use crate::fault::FaultSet;
 use crate::graph::{EdgeId, Graph, Vertex};
-use crate::repair::{RepairScratch, NONE};
+use crate::repair::{RepairScratch, RepairView, NONE};
 use crate::scratch::{dijkstra_into, EdgeCostSource, SearchScratch};
 use crate::tree::SelectedTree;
 
@@ -140,40 +140,21 @@ impl<C: PathCost> SweepScratch<C> {
 }
 
 /// One answered sweep query, borrowed from the sweep's scratch: valid for
-/// the duration of the visitor call. It reads the kernel's overlay over
-/// the tree a search left: the source's base run when the query was
-/// repaired, the fallback search (under an empty overlay) otherwise.
-/// Read the tree through [`SelectedTree`]; copy it out with
-/// [`SelectedTree::to_bfs_tree`] only to keep it past the call.
-#[derive(Debug)]
-pub struct SweepView<'a, C> {
-    g: &'a Graph,
-    tree: &'a SearchScratch<C>,
-    kernel: &'a RepairScratch<C>,
-    reached: usize,
-}
-
-// Repairs only remove edges, so a vertex `tree` did not reach stays
-// unreached: the overlay is read for `tree`-reached vertices only.
-impl<C: PathCost> SweepView<'_, C> {
-    /// Exact cost of the selected source-to-`v` path, or `None` if `v` is
-    /// unreachable.
-    pub fn cost(&self, v: Vertex) -> Option<&C> {
-        self.tree.reached(v).then(|| self.kernel.cost(self.tree, v)).flatten()
-    }
-
-    /// Hop count of the selected source-to-`v` path, or `None` if
-    /// unreachable.
-    pub fn hops(&self, v: Vertex) -> Option<u32> {
-        self.tree.reached(v).then(|| self.kernel.hops(self.tree, v)).flatten()
-    }
-}
+/// the duration of the visitor call. It is the repair kernel's view
+/// ([`RepairScratch::over`]) over the tree a search left: the source's
+/// base run when the query was repaired, the fallback search (under an
+/// empty overlay) otherwise. Read the tree through [`SelectedTree`]; copy
+/// it out with [`SelectedTree::to_bfs_tree`] only to keep it past the
+/// call.
+pub type SweepView<'a, C> = RepairView<'a, C, SearchScratch<C>>;
 
 /// The edge listing walks the searched tree's reached list instead of
-/// `0..n`; the reachable count was taken when the query was answered.
+/// `0..n`. Repairs only remove edges, so a vertex the search did not
+/// reach stays unreached, and the reachable count is the search's less
+/// the cells the kernel cleared.
 impl<C: PathCost> SelectedTree for SweepView<'_, C> {
     fn source(&self) -> Vertex {
-        self.tree.source()
+        self.base.source()
     }
 
     fn n(&self) -> usize {
@@ -185,15 +166,17 @@ impl<C: PathCost> SelectedTree for SweepView<'_, C> {
     }
 
     fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
-        self.tree.reached(v).then(|| self.kernel.parent(self.g, self.tree, v)).flatten()
+        RepairView::parent(self, v)
     }
 
     fn tree_edges(&self) -> Box<dyn Iterator<Item = EdgeId> + '_> {
-        Box::new(self.tree.touched.iter().filter_map(|&v| self.parent(v as usize).map(|(_, e)| e)))
+        Box::new(self.base.touched.iter().filter_map(|&v| self.parent(v as usize).map(|(_, e)| e)))
     }
 
     fn reachable_count(&self) -> usize {
-        self.reached
+        let lost =
+            self.kernel.written().filter(|&(v, c)| c.hops == NONE && self.base.reached(v as usize));
+        self.base.reachable_count() - lost.count()
     }
 }
 
@@ -281,11 +264,7 @@ pub fn dijkstra_sweep<C, F, V>(
                 dijkstra_into(g, s, faults, ByRef(&mut costs), search);
                 &*search
             };
-            let lost =
-                kernel.written().filter(|&(v, c)| c.hops == NONE && tree.reached(v as usize));
-            let reached = tree.reachable_count() - lost.count();
-            let view = SweepView { g, tree, kernel: &*kernel, reached };
-            if visitor(si, fi, view).is_break() {
+            if visitor(si, fi, kernel.over(g, tree)).is_break() {
                 return;
             }
         }

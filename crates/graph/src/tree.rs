@@ -19,14 +19,17 @@ use crate::bfs::BfsTree;
 use crate::graph::{EdgeId, Graph, Vertex};
 use crate::path::Path;
 
-/// Read access to one selected shortest-path tree `π(s, · | F)` where the
-/// search left it: an owned [`BfsTree`], a finished
-/// [`crate::SearchScratch`] or a sweep's [`crate::SweepView`].
+/// Read access to one selected shortest-path tree `π(s, · | F)` where it
+/// is stored: an owned [`BfsTree`], a finished [`crate::SearchScratch`],
+/// a sweep's [`crate::SweepView`] (the repair kernel's view) or
+/// `rsp_oracle`'s `TreeView` (a snapshot row or a reader's search).
 ///
 /// Implementors supply the root, the vertex count, and per-vertex
-/// distances and parents; the trait supplies the rest once. It is object
-/// safe: `rsp_core`'s `Rpts::for_each_tree` lends each tree as `&dyn
-/// SelectedTree`, and only a caller that keeps one copies it
+/// distances and parents; the trait supplies the rest once. Every
+/// per-vertex read answers `None` for an out-of-range `v` (`v ≥ n`)
+/// instead of panicking, so readers can pass untrusted targets. It is
+/// object safe: `rsp_core`'s `Rpts::for_each_tree` lends each tree as
+/// `&dyn SelectedTree`, and only a caller that keeps one copies it
 /// ([`SelectedTree::to_bfs_tree`]).
 ///
 /// # Examples
@@ -54,18 +57,18 @@ pub trait SelectedTree {
     fn n(&self) -> usize;
 
     /// Hop count of the selected root-to-`v` path, or `None` if `v` is
-    /// unreachable: the unweighted distance `dist_{G\F}` for a BFS tree and
-    /// for a tiebreaking-weight tree, whose perturbations stay within a
-    /// hop class.
+    /// unreachable or out of range: the unweighted distance `dist_{G\F}`
+    /// for a BFS tree and for a tiebreaking-weight tree, whose
+    /// perturbations stay within a hop class.
     fn dist(&self, v: Vertex) -> Option<u32>;
 
     /// Parent of `v` in the tree as `(vertex, edge id)`, or `None` for
-    /// the root and unreachable vertices.
+    /// the root, unreachable vertices and out-of-range `v`.
     fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)>;
 
-    /// The root-to-`v` tree path, or `None` if `v` is unreachable. The
-    /// walk takes at most `n` steps and also answers `None` when the
-    /// parent chain breaks or cycles before reaching the root.
+    /// The root-to-`v` tree path, or `None` if `v` is unreachable or out
+    /// of range. The walk takes at most `n` steps and also answers `None`
+    /// when the parent chain breaks or cycles before reaching the root.
     fn path_to(&self, v: Vertex) -> Option<Path> {
         let hops = self.dist(v)? as usize;
         let (n, source) = (self.n(), self.source());

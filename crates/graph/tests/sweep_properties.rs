@@ -411,9 +411,10 @@ fn kernel_repair_restores_the_fault_free_tree() {
         dijkstra_into(&g, 0, &FaultSet::single(e), cost, &mut cut);
         kernel.begin(g.n());
         kernel.repair(&g, &cut, e, &FaultSet::empty(), &mut costs).unwrap();
+        let tree = kernel.over(&g, &cut);
         for v in g.vertices() {
-            assert_eq!(kernel.cost(&cut, v), fresh.cost(v), "e{e} cost({v})");
-            assert_eq!(kernel.parent(&g, &cut, v), fresh.parent(v), "e{e} parent({v})");
+            assert_eq!(tree.cost(v), fresh.cost(v), "e{e} cost({v})");
+            assert_eq!(tree.parent(v), fresh.parent(v), "e{e} parent({v})");
         }
     }
 }
@@ -438,7 +439,8 @@ fn kernel_steps_that_change_nothing_write_nothing() {
     let e = g.edge_between(2, 3).unwrap();
     kernel.begin(g.n());
     assert_eq!(kernel.arrival(&g, &base, e, &FaultSet::single(e), &mut costs), Ok(true));
-    assert_eq!((kernel.hops(&base, 2), kernel.hops(&base, 3)), (Some(2), None));
+    let tree = kernel.over(&g, &base);
+    assert_eq!((tree.hops(2), tree.hops(3)), (Some(2), None));
     assert_eq!(kernel.cells().map(|(v, _)| v).collect::<Vec<_>>(), vec![3, 4]);
 }
 

@@ -23,10 +23,11 @@
 //!   a seeded single-bit flip the CRC framing must catch, and a seeded
 //!   truncation the torn-tail recovery must absorb.
 //! * [`corrupt_published_row`] with [`CellCorruption`] — the
-//!   post-publication attacker: flips one cell (hop, parent, or cost)
-//!   of a row the oracle is *currently serving*, the damage only the
-//!   background scrubber ([`crate::scrub`]) can catch. The scrub suite
-//!   proves that one tick detects it and heals it with one publish.
+//!   post-publication attacker: flips one cell (hop, parent, cost, or a
+//!   parent edge past `m`) of a row the oracle is *currently serving*,
+//!   the damage only the background scrubber ([`crate::scrub`]) can
+//!   catch. The scrub suite proves that one tick detects it and heals it
+//!   with one publish.
 //!
 //! [`verify_published`] closes the loop: whatever was injected, the
 //! snapshot actually serving must agree cell-for-cell with a fresh
@@ -417,6 +418,10 @@ pub enum CellCorruption {
     Parent,
     /// Zero a reachable non-source vertex's exact path cost.
     Cost,
+    /// Overwrite a reachable non-source vertex's parent edge with an id
+    /// past the graph's edge count: damage the parent-edge decoder must
+    /// read as "no parent" rather than panic on.
+    Edge,
 }
 
 /// Corrupts one cell of source `s`'s tree row in the snapshot `oracle`

@@ -34,8 +34,8 @@ use std::sync::Arc;
 
 use rsp_arith::{HopDivisor, PathCost};
 use rsp_core::{ExactScheme, Rpts};
-use rsp_graph::repair::{Cell, RepairScratch, TreeCells};
-use rsp_graph::{EdgeId, FaultSet, Graph, Path, SearchScratch, SelectedTree, Vertex};
+use rsp_graph::repair::{decode_parent, Cell, RepairScratch, TreeCells};
+use rsp_graph::{EdgeId, FaultSet, Graph, SearchScratch, SelectedTree, Vertex};
 
 use crate::churn::inject::CellCorruption;
 
@@ -159,16 +159,11 @@ impl<C> Copy for CellRef<'_, C> {}
 
 impl<C: PathCost> CellRef<'_, C> {
     /// The parent of `v` (whose cell this is) as `(vertex, edge id)`, or
-    /// `None` for the source and unreachable vertices. The vertex is the
-    /// parent edge's other endpoint (graphs are simple).
+    /// `None` for the source, unreachable vertices and a damaged parent
+    /// edge ([`decode_parent`]).
     #[inline]
     fn parent(self, g: &Graph, v: Vertex) -> Option<(Vertex, EdgeId)> {
-        let e = self.parent_edge;
-        if e == NONE {
-            return None;
-        }
-        let (a, b) = g.endpoints(e as EdgeId);
-        Some((if a == v { b } else { a }, e as EdgeId))
+        decode_parent(g, v, self.parent_edge)
     }
 
     /// The hop count, or `None` when unreachable.
@@ -833,7 +828,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     ///
     /// ```
     /// use rsp_core::RandomGridAtw;
-    /// use rsp_graph::{generators, FaultSet, SearchScratch};
+    /// use rsp_graph::{generators, FaultSet, SearchScratch, SelectedTree};
     /// use rsp_oracle::OracleSnapshot;
     ///
     /// let g = generators::grid(4, 4);
@@ -938,6 +933,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// scrubber work.
     pub(crate) fn corrupt_cell(&mut self, s: Vertex, kind: CellCorruption) -> Option<Vertex> {
         let i = self.row_of(s)?;
+        let m = self.scheme.graph().m() as u32;
         let row = &mut self.rows[i];
         let corruptible = |v: Vertex| v != s && row.cell(v).is_some_and(|c| c.reached);
         let victim = (row.list().iter().map(|c| c.v as Vertex).find(|&v| corruptible(v)))
@@ -948,6 +944,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
             CellCorruption::Hop => cost = cost.plus(self.hops.unit()),
             CellCorruption::Parent => parent_edge = NONE,
             CellCorruption::Cost => cost.set_zero(),
+            CellCorruption::Edge => parent_edge = m,
         }
         row.overwrite(victim, parent_edge, cost);
         Some(victim)
@@ -1005,9 +1002,13 @@ enum ViewInner<'q, C> {
 /// the snapshot's precomputed arrays or from the caller's scratch —
 /// so reading distances, costs, and parents allocates nothing.
 ///
-/// [`TreeView::path_to`] materializes an owned [`Path`] and is the one
-/// allocating accessor; hot paths should read [`TreeView::parent`] /
-/// [`TreeView::dist`] / [`TreeView::cost`] instead.
+/// A view reads like every other selected tree: through
+/// [`SelectedTree`], which supplies the bounded path walk
+/// ([`SelectedTree::path_to`], the one allocating accessor, which never
+/// panics on a damaged row), the tree edges, the reachable count and
+/// the owned copy. The per-vertex accessors are also inherent, so hot
+/// paths read [`TreeView::parent`] / [`TreeView::dist`] /
+/// [`TreeView::cost`] without importing the trait.
 pub struct TreeView<'q, C> {
     inner: ViewInner<'q, C>,
 }
@@ -1072,34 +1073,29 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
             ViewInner::Searched { scratch } => scratch.parent(t),
         }
     }
+}
 
-    /// The selected path `π(s, t | F)`, or `None` if `t` is unreachable.
-    ///
-    /// Allocates the returned [`Path`] — use the zero-allocation
-    /// accessors on the hot path and this for result materialization.
-    /// Never panics: a damaged baseline row whose parent chain from `t`
-    /// breaks, or never reaches the source within `n` steps, answers
-    /// `None`.
-    pub fn path_to(&self, t: Vertex) -> Option<Path> {
+/// The inherent accessors are the one implementation; the walk, the
+/// listings and the copy come from the trait.
+impl<C: PathCost + 'static> SelectedTree for TreeView<'_, C> {
+    fn source(&self) -> Vertex {
+        TreeView::source(self)
+    }
+
+    fn n(&self) -> usize {
         match &self.inner {
-            ViewInner::Baseline { snap, source, .. } => {
-                if !self.reached(t) {
-                    return None;
-                }
-                let mut verts = vec![t];
-                let mut cur = t;
-                for _ in 0..snap.graph().n() {
-                    if cur == *source {
-                        verts.reverse();
-                        return Some(Path::new(verts));
-                    }
-                    let (p, _) = self.parent(cur)?;
-                    verts.push(p);
-                    cur = p;
-                }
-                None
-            }
-            ViewInner::Searched { scratch } => scratch.path_to(t),
+            ViewInner::Baseline { snap, .. } => snap.graph().n(),
+            ViewInner::Searched { scratch } => scratch.n(),
         }
+    }
+
+    #[inline]
+    fn dist(&self, v: Vertex) -> Option<u32> {
+        TreeView::dist(self, v)
+    }
+
+    #[inline]
+    fn parent(&self, v: Vertex) -> Option<(Vertex, EdgeId)> {
+        TreeView::parent(self, v)
     }
 }

@@ -266,7 +266,10 @@ fn scaled_costs_keep_trees_and_scale_costs() {
 
 /// Out-of-range targets are a client error, never a panic: both the
 /// baseline view (flat rows) and the engine view (search scratch) answer
-/// "unreached" for any `t ≥ n`, including `usize::MAX`.
+/// "unreached" for any `t ≥ n`, including `usize::MAX`, through their
+/// inherent accessors and through `SelectedTree` — as does every other
+/// selected tree: an owned `BfsTree`, a finished search and a sweep's
+/// view.
 #[test]
 fn hostile_target_ids_never_panic_on_any_view() {
     let g = generators::grid(4, 4);
@@ -275,6 +278,14 @@ fn hostile_target_ids_never_panic_on_any_view() {
     let mut scratch = SearchScratch::with_capacity(g.n());
     let n = g.n();
     let hostile = [n, n + 7, usize::MAX];
+    let read_as_tree = |tree: &dyn SelectedTree, what: &str| {
+        for t in hostile {
+            assert_eq!(tree.dist(t), None, "{what} t = {t}");
+            assert_eq!(tree.parent(t), None, "{what} t = {t}");
+            assert_eq!(tree.path_to(t), None, "{what} t = {t}");
+        }
+        assert_eq!(tree.reachable_count(), n, "{what}: the grid stays connected");
+    };
 
     let tree_edge = {
         let view = snap.query(0, &FaultSet::empty(), &mut scratch);
@@ -284,18 +295,32 @@ fn hostile_target_ids_never_panic_on_any_view() {
             assert_eq!(view.dist(t), None, "baseline t = {t}");
             assert_eq!(view.cost(t), None, "baseline t = {t}");
             assert_eq!(view.parent(t), None, "baseline t = {t}");
-            assert_eq!(view.path_to(t), None, "baseline t = {t}");
         }
+        read_as_tree(&view, "baseline");
         view.parent(n - 1).expect("the far corner has a parent").1
     };
 
-    let view = snap.query(0, &FaultSet::single(tree_edge), &mut scratch);
+    let faults = FaultSet::single(tree_edge);
+    let view = snap.query(0, &faults, &mut scratch);
     assert!(!view.from_baseline(), "a fault on the tree takes the engine path");
     for t in hostile {
         assert!(!view.reached(t), "engine t = {t}");
         assert_eq!(view.dist(t), None, "engine t = {t}");
         assert_eq!(view.cost(t), None, "engine t = {t}");
         assert_eq!(view.parent(t), None, "engine t = {t}");
-        assert_eq!(view.path_to(t), None, "engine t = {t}");
     }
+    read_as_tree(&view, "engine");
+    read_as_tree(&scratch, "search");
+    read_as_tree(&scratch.to_bfs_tree(), "owned");
+    let mut sweep = SweepScratch::new();
+    let costs = scheme.directed_costs();
+    dijkstra_sweep(&g, &[0], &[faults], costs, &mut sweep, |_, _, tree| {
+        for t in hostile {
+            assert_eq!(tree.cost(t), None, "sweep t = {t}");
+            assert_eq!(tree.hops(t), None, "sweep t = {t}");
+        }
+        read_as_tree(&tree, "sweep");
+        ControlFlow::Continue(())
+    });
+    assert_eq!(sweep.stats().repaired, 1, "the sweep's view is the kernel's");
 }

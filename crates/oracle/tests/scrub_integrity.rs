@@ -17,6 +17,10 @@ use rsp_oracle::Oracle;
 
 type Scheme = rsp_core::ExactScheme<u128>;
 
+/// Every corruption kind: hop, parent, cost, and a parent edge past `m`.
+const ALL_KINDS: [CellCorruption; 4] =
+    [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost, CellCorruption::Edge];
+
 fn scheme_for(g: &Graph, wseed: u64) -> Scheme {
     RandomGridAtw::theorem20(g, wseed).into_scheme()
 }
@@ -47,12 +51,12 @@ fn assert_source_correct(oracle: &Oracle<u128>, scheme: &Scheme, s: usize) {
 // Detection and the happy-path heal
 // ---------------------------------------------------------------------
 
-/// Every corruption kind — hop, parent, cost — is detected by a full
+/// Every corruption kind — hop, parent, cost, edge — is detected by a full
 /// audit sweep and healed in the same tick; afterwards the snapshot is
 /// clean and the answers are engine-identical.
 #[test]
 fn every_corruption_kind_is_detected_and_healed() {
-    for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
+    for kind in ALL_KINDS {
         let g = generators::grid(4, 4);
         let scheme = scheme_for(&g, 42);
         let oracle = Oracle::build(&scheme);
@@ -86,7 +90,7 @@ fn every_corruption_kind_is_detected_and_healed() {
 /// clean.
 #[test]
 fn every_corrupt_row_heals_in_one_tick_and_one_publish() {
-    for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
+    for kind in ALL_KINDS {
         let g = generators::grid(4, 4);
         let scheme = scheme_for(&g, 42);
         let oracle = Oracle::build(&scheme);
@@ -209,7 +213,7 @@ fn pipeline_with_listed_row(scheme: &Scheme) -> (ChurnPipeline<u128>, usize) {
 /// in the base.
 #[test]
 fn list_cell_corruption_is_caught_and_healed() {
-    for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
+    for kind in ALL_KINDS {
         let g = generators::grid(8, 8);
         let scheme = scheme_for(&g, 42);
         let (pipeline, s) = pipeline_with_listed_row(&scheme);
@@ -232,13 +236,13 @@ fn list_cell_corruption_is_caught_and_healed() {
     }
 }
 
-/// `TreeView::path_to` on a corrupt published row answers, never
+/// `TreeView`'s path walk on a corrupt published row answers, never
 /// panics, for every target and every corruption kind, with the damage
-/// in the base or in a cell list; a cell whose parent was erased has
-/// no path.
+/// in the base or in a cell list; a cell whose parent was erased, or
+/// points past the edge list, has no path.
 #[test]
 fn path_to_never_panics_on_a_corrupt_row() {
-    for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
+    for kind in ALL_KINDS {
         let g = generators::grid(4, 4);
         let oracle = Oracle::build(&scheme_for(&g, 42));
         let big = generators::grid(8, 8);
@@ -255,7 +259,7 @@ fn path_to_never_panics_on_a_corrupt_row() {
                     assert_eq!(path.vertices().last(), Some(&t), "{kind:?}: path to {t}");
                 }
             }
-            if kind == CellCorruption::Parent {
+            if matches!(kind, CellCorruption::Parent | CellCorruption::Edge) {
                 assert_eq!(view.path_to(victim), None, "{kind:?}: the chain breaks at {victim}");
             }
         }
@@ -276,9 +280,9 @@ proptest! {
     fn any_flipped_cell_is_caught_and_healed(
         wseed in any::<u64>(),
         source in 0usize..9,
-        kind_ix in 0usize..3,
+        kind_ix in 0usize..ALL_KINDS.len(),
     ) {
-        let kind = [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost][kind_ix];
+        let kind = ALL_KINDS[kind_ix];
         let g = generators::grid(3, 3);
         let scheme = scheme_for(&g, wseed);
         let oracle = Oracle::build(&scheme);
